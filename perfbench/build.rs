@@ -1,0 +1,22 @@
+//! Records the compiler version and build profile for the host facts
+//! every result carries.
+
+use std::process::Command;
+
+fn main() {
+    let rustc = std::env::var("RUSTC").unwrap_or_else(|_| "rustc".to_string());
+    let version = Command::new(rustc)
+        .arg("--version")
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .map(|out| String::from_utf8_lossy(&out.stdout).trim().to_string())
+        .unwrap_or_else(|| "unknown".to_string());
+    println!("cargo:rustc-env=PERFBENCH_RUSTC={version}");
+    for key in ["PROFILE", "OPT_LEVEL", "DEBUG"] {
+        let value = std::env::var(key).unwrap_or_default();
+        println!("cargo:rustc-env=PERFBENCH_{key}={value}");
+    }
+    println!("cargo:rerun-if-changed=build.rs");
+    println!("cargo:rerun-if-env-changed=RUSTC");
+}
