@@ -11,15 +11,14 @@
 //! * **swaps** — `optimize_swaps` end to end (depth phase + bracketed
 //!   SWAP descent): optima must agree and the raced layout must verify.
 //!
-//! Methodology: this container is single-core, so any speedup here is
-//! **total-work reduction**, not parallelism. With `auto_tune` (the
-//! default) the scheduler clamps its cohort to the core count, so the
-//! race degrades to one warm worker — and the wins that remain are
-//! architectural: the SWAP phase reuses the depth phase's warm,
-//! fully-encoded model (the sequential walk builds a *fresh* model and
-//! re-learns everything from scratch for the descent), and witness
-//! jumps collapse the bracket past the probed bound. On a multi-core
-//! box the same harness additionally measures true bound racing.
+//! Methodology: with `auto_tune` (the default) the scheduler clamps its
+//! cohort to the measured core count (`available_parallelism` in the
+//! JSON). Both sides hand the SWAP phase the depth phase's warm,
+//! fully-encoded model, so that reuse cancels out of the ratio; what
+//! remains is the race itself — speculative bounds on spare cores,
+//! bracketed SWAP descent and witness jumps past the probed bound. On
+//! one core the race degrades to a single warm worker and the ratio
+//! should sit near 1×.
 //!
 //! The headline (and the `--gate` floor) is the **end-to-end geomean**
 //! over the `swaps` rows — `optimize_swaps` is the paper's complete
@@ -327,7 +326,11 @@ fn main() {
     let _ = writeln!(json, "  \"full\": {},", opts.full);
     let _ = writeln!(json, "  \"workers\": {WORKERS},");
     let _ = writeln!(json, "  \"trials\": {trials},");
-    let _ = writeln!(json, "  \"single_core\": true,");
+    let _ = writeln!(
+        json,
+        "  \"available_parallelism\": {},",
+        std::thread::available_parallelism().map_or(1, |n| n.get())
+    );
     let _ = writeln!(json, "  \"mismatches\": {mismatches},");
     let _ = writeln!(json, "  \"end_to_end_geomean_speedup\": {end_to_end:.4},");
     let _ = writeln!(json, "  \"depth_geomean_speedup\": {depth_geomean:.4},");

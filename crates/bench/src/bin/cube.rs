@@ -410,7 +410,11 @@ fn main() {
     let _ = writeln!(json, "  \"full\": {},", opts.full);
     let _ = writeln!(json, "  \"workers\": {WORKERS},");
     let _ = writeln!(json, "  \"trials\": {trials},");
-    let _ = writeln!(json, "  \"single_core\": true,");
+    let _ = writeln!(
+        json,
+        "  \"available_parallelism\": {},",
+        std::thread::available_parallelism().map_or(1, |n| n.get())
+    );
     let _ = writeln!(json, "  \"mismatches\": {mismatches},");
     let _ = writeln!(
         json,

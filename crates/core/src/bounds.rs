@@ -33,10 +33,12 @@
 //!   per-probe stop flags.
 //! * **SWAP phase without re-encode.** The depth-phase workers are kept —
 //!   warm learnts, aligned spaces — and re-armed with the cached SWAP
-//!   cardinality activators; each descent under a fixed depth races the
-//!   bracket `[0, s−1]` the same way, and the Pareto depth-relaxation
-//!   probe runs sequentially on worker 0 (preserving the paper's
-//!   termination conditions verbatim).
+//!   cardinality activators, just as the sequential
+//!   [`Olsq2Synthesizer::optimize_swaps`] continues on its depth-phase
+//!   model; each descent under a fixed depth races the bracket
+//!   `[0, s−1]` the same way, and the Pareto depth-relaxation probe runs
+//!   sequentially on worker 0 (preserving the paper's termination
+//!   conditions verbatim).
 //! * **Cross-bound clause sharing.** Workers share learnts through a
 //!   [`SharedClausePool`]; exports are fenced to pre-build variables, so
 //!   a learnt never mentions a bound activator and is therefore valid at
@@ -973,9 +975,10 @@ impl BoundScheduler {
     /// SWAP-count optimization (§III-B-2): the depth phase above, then
     /// each descent under a fixed depth raced as a bracketed binary
     /// search over the cached cardinality activators — no re-encode per
-    /// `k`, no fresh model for the phase (the depth cohort carries over,
-    /// warm). The Pareto depth-relaxation probe runs sequentially on
-    /// worker 0, preserving the paper's termination conditions.
+    /// `k`, and the depth cohort carries over warm, as the sequential
+    /// path's single model does. The Pareto depth-relaxation probe runs
+    /// sequentially on worker 0, preserving the paper's termination
+    /// conditions.
     ///
     /// # Errors
     ///
@@ -1094,32 +1097,10 @@ impl BoundScheduler {
                 .iteration_span("swaps", &[("t_bound", new_depth), ("swap_bound", s - 1)]);
             span.set("strategy", "bound-race");
             let relax_worker = &mut workers[0];
-            let encode_start = Instant::now();
-            let act_d = relax_worker.depth_bound(new_depth);
-            let act_s = relax_worker.swap_bound(s - 1, capacity);
-            span.set("encode_us", encode_start.elapsed().as_micros() as u64);
-            {
-                let solver = relax_worker.solver_mut();
-                solver.set_deadline(deadline);
-                solver.set_conflict_budget(config.conflict_budget);
-                let mut stops = Vec::new();
-                if let Some(global) = &config.stop_flag {
-                    stops.push(global.clone());
-                }
-                solver.set_stop_flags(stops);
-            }
             iterations += 1;
-            let stats_before = relax_worker.solver_mut().stats();
-            let solve_start = Instant::now();
-            let res = relax_worker.solve(&[act_d, act_s]);
-            span.set("solve_us", solve_start.elapsed().as_micros() as u64);
-            span.set("result", result_str(res));
-            Olsq2Synthesizer::set_iteration_deltas(
-                &span,
-                stats_before,
-                relax_worker.solver_mut().stats(),
-            );
-            drop(span);
+            let res = self.inner.probe(span, relax_worker, deadline, |m| {
+                vec![m.depth_bound(new_depth), m.swap_bound(s - 1, capacity)]
+            });
             match res {
                 SolveResult::Sat => {
                     current = relax_worker.extract();

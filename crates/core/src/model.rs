@@ -15,7 +15,7 @@
 
 // Indexed `for` loops are deliberate here: time-step/edge index loops mirror the paper's formulation.
 #![allow(clippy::needless_range_loop)]
-use crate::config::{MappingEncoding, SynthesisConfig, TimeEncoding};
+use crate::config::{EncodingConfig, MappingEncoding, SynthesisConfig, TimeEncoding};
 use crate::vars::{FdVar, TimeVars};
 use olsq2_arch::CouplingGraph;
 use olsq2_circuit::{Circuit, DependencyGraph, Operands};
@@ -25,6 +25,7 @@ use olsq2_encode::{
 use olsq2_layout::{LayoutResult, SwapOp};
 use olsq2_sat::{Lit, SolveResult, Solver};
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// Errors raised while constructing a model.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -174,64 +175,8 @@ impl FlatModel {
         let mut mark = tally.mark(&solver);
 
         // --- Mapping variables + injectivity -------------------------------
-        let new_mapping_var = |s: &mut Solver| match enc.mapping {
-            MappingEncoding::OneHot | MappingEncoding::InverseOneHot => {
-                FdVar::new_onehot(s, np, enc.amo)
-            }
-            MappingEncoding::Binary => FdVar::new_binary(s, np),
-        };
-        let mut mapping: Vec<Vec<FdVar>> = (0..nq)
-            .map(|_| (0..t_ub).map(|_| new_mapping_var(&mut solver)).collect())
-            .collect();
-
-        // Injectivity is pure clause emission: stage it through a
-        // BatchSink so the clauses land via one bulk hand-off per buffer
-        // instead of a solver call each.
-        let mut batch = BatchSink::new(&mut solver);
-        match enc.mapping {
-            MappingEncoding::OneHot => {
-                // Pairwise per (t, p): the "int"-style injectivity.
-                for t in 0..t_ub {
-                    for p in 0..np {
-                        let sels: Vec<Lit> = (0..nq)
-                            .map(|q| mapping[q][t].eq_lit(&mut batch, p))
-                            .collect();
-                        at_most_one(&mut batch, &sels, enc.amo);
-                    }
-                }
-            }
-            MappingEncoding::Binary => {
-                // Pairwise difference per (t, q<q'): at least one bit of the
-                // two bit-vectors differs.
-                for t in 0..t_ub {
-                    for q1 in 0..nq {
-                        for q2 in (q1 + 1)..nq {
-                            let diff = fd_differs(&mut batch, &mapping[q1][t], &mapping[q2][t]);
-                            batch.add_clause(&[diff]);
-                        }
-                    }
-                }
-            }
-            MappingEncoding::InverseOneHot => {
-                // EUF-style: an inverse family π_inv(p, t) over Q ∪ {free}
-                // with channeling; injectivity follows from π_inv being a
-                // function (its exactly-one constraint).
-                for t in 0..t_ub {
-                    let mut inv: Vec<FdVar> = (0..np)
-                        .map(|_| FdVar::new_onehot(&mut batch, nq + 1, enc.amo))
-                        .collect();
-                    for q in 0..nq {
-                        for p in 0..np {
-                            let m = mapping[q][t].eq_lit(&mut batch, p);
-                            let i = inv[p].eq_lit(&mut batch, q);
-                            batch.add_clause(&[!m, i]);
-                            batch.add_clause(&[!i, m]);
-                        }
-                    }
-                }
-            }
-        }
-        drop(batch);
+        let mut mapping: Vec<Vec<FdVar>> = (0..nq).map(|_| Vec::new()).collect();
+        emit_mappings(&mut solver, &mut mapping, np, enc, 0..t_ub);
 
         // Initial-mapping one-hot groups are the natural cube-splitting
         // axis: asserting each selector of π_q^0 in turn partitions the
@@ -305,113 +250,25 @@ impl FlatModel {
 
         // --- SWAP variables -------------------------------------------------
         let ne = graph.num_edges();
-        let swap_lits: Vec<Vec<Lit>> = (0..ne)
-            .map(|_| {
-                (0..t_ub)
-                    .map(|_| Lit::positive(CnfSink::new_var(&mut solver)))
-                    .collect()
-            })
-            .collect();
-        // A SWAP cannot finish before S_D - 1.
-        for lits in &swap_lits {
-            for &l in lits.iter().take(sd - 1) {
-                solver.add_clause([!l]);
-            }
-        }
-        // SWAP/SWAP exclusion: overlapping windows on edges sharing a qubit.
-        for e1 in 0..ne {
-            let (a1, b1) = graph.edge(e1);
-            for e2 in e1..ne {
-                let (a2, b2) = graph.edge(e2);
-                let shares = e1 == e2 || a1 == a2 || a1 == b2 || b1 == a2 || b1 == b2;
-                if !shares {
-                    continue;
-                }
-                for t1 in (sd - 1)..t_ub {
-                    let upper = (t1 + sd).min(t_ub);
-                    // Windows (t-S_D, t] intersect iff |t1 - t2| < S_D; for
-                    // the same edge only emit each unordered pair once.
-                    let lower = if e1 == e2 {
-                        t1 + 1
-                    } else {
-                        (t1 + 1).saturating_sub(sd).max(sd - 1)
-                    };
-                    for t2 in lower..upper {
-                        if e1 == e2 && t1 == t2 {
-                            continue;
-                        }
-                        solver.add_clause([!swap_lits[e1][t1], !swap_lits[e2][t2]]);
-                    }
-                }
-            }
-        }
-
+        let mut swap_lits: Vec<Vec<Lit>> = (0..ne).map(|_| Vec::new()).collect();
+        emit_swaps(&mut solver, &mut swap_lits, graph, sd, 0..t_ub);
         mark = tally.credit_since(ConstraintFamily::Swap, &solver, mark);
 
-        // The scheduling families dominate the formula; stage them in bulk.
-        let mut batch = BatchSink::new(&mut solver);
         match style {
             ModelStyle::Olsq2 => {
-                // --- Valid two-qubit gate scheduling (Eq. 1) ----------------
-                // Cache the adjacency disjunction per (qubit pair, t).
-                let mut adj_cache: HashMap<(u16, u16, usize), Lit> = HashMap::new();
-                for (g, gate) in circuit.gates().iter().enumerate() {
-                    if let Operands::Two(q1, q2) = gate.operands {
-                        let (qa, qb) = (q1.min(q2), q1.max(q2));
-                        for t in 0..t_ub {
-                            let adj = match adj_cache.get(&(qa, qb, t)) {
-                                Some(&l) => l,
-                                None => {
-                                    let mut pair_lits = Vec::with_capacity(2 * ne);
-                                    for e in 0..ne {
-                                        let (pa, pb) = graph.edge(e);
-                                        for (x, y) in [(pa, pb), (pb, pa)] {
-                                            let la = mapping[qa as usize][t]
-                                                .eq_lit(&mut batch, x as usize);
-                                            let lb = mapping[qb as usize][t]
-                                                .eq_lit(&mut batch, y as usize);
-                                            pair_lits.push(gates::and_lit(&mut batch, la, lb));
-                                        }
-                                    }
-                                    let l = gates::or_all(&mut batch, &pair_lits);
-                                    adj_cache.insert((qa, qb, t), l);
-                                    l
-                                }
-                            };
-                            // (t_g == t) → adjacent(qa, qb, t)
-                            let mut clause = time.var(g).neq_clause(t);
-                            clause.push(adj);
-                            batch.add_clause(&clause);
-                        }
-                    }
-                }
-
-                // --- Valid SWAP insertion (Eq. 2–3) -------------------------
-                // A SWAP finishing at t occupies its endpoints during the
-                // window (t - S_D, t]; no gate touching those physical
-                // qubits may be scheduled in that window.
-                for (g, gate) in circuit.gates().iter().enumerate() {
-                    let qubits: Vec<u16> = gate.operands.qubits().collect();
-                    for e in 0..ne {
-                        let (pa, pb) = graph.edge(e);
-                        for t in (sd - 1)..t_ub {
-                            for t_prime in (t + 1 - sd)..=t {
-                                for &q in &qubits {
-                                    for p in [pa, pb] {
-                                        // (t_g == t') ∧ (π_q^t == p) → ¬σ_e^t
-                                        let mut clause = time.var(g).neq_clause(t_prime);
-                                        clause
-                                            .extend(mapping[q as usize][t].neq_clause(p as usize));
-                                        clause.push(!swap_lits[e][t]);
-                                        batch.add_clause(&clause);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
+                emit_scheduling(
+                    &mut solver,
+                    &mut mapping,
+                    &time,
+                    &swap_lits,
+                    circuit,
+                    graph,
+                    sd,
+                    0..t_ub,
+                );
             }
             ModelStyle::OlsqBaseline => {
+                let mut batch = BatchSink::new(&mut solver);
                 // Original OLSQ: per-gate space variables with consistency
                 // constraints, and overlap constraints expressed through
                 // them (the redundancy Improvement 1 removes).
@@ -519,44 +376,11 @@ impl FlatModel {
                 }
             }
         }
-        drop(batch);
 
         mark = tally.credit_since(ConstraintFamily::Scheduling, &solver, mark);
 
         // --- SWAP transformation (mapping consistency) ----------------------
-        let mut batch = BatchSink::new(&mut solver);
-        for t in 0..t_ub.saturating_sub(1) {
-            for q in 0..nq {
-                // Stay: (π_q^t == p) ∧ no swap at an edge of p finishing at t
-                //       → π_q^{t+1} == p.
-                for p in 0..np {
-                    let incident = graph.edges_at(p as u16);
-                    let antecedent = mapping[q][t].neq_clause(p);
-                    for &bit in &mapping[q][t + 1].eq_conj(p) {
-                        let mut clause = antecedent.clone();
-                        clause.extend(incident.iter().map(|&e| swap_lits[e][t]));
-                        clause.push(bit);
-                        batch.add_clause(&clause);
-                    }
-                }
-                // Move: σ_e^t ∧ (π_q^t == e.p) → π_q^{t+1} == e.p'.
-                for e in 0..ne {
-                    let (pa, pb) = graph.edge(e);
-                    for (from, to) in [(pa, pb), (pb, pa)] {
-                        let antecedent = mapping[q][t].neq_clause(from as usize);
-                        for &bit in &mapping[q][t + 1].eq_conj(to as usize) {
-                            let mut clause = Vec::with_capacity(antecedent.len() + 2);
-                            clause.push(!swap_lits[e][t]);
-                            clause.extend(antecedent.iter().copied());
-                            clause.push(bit);
-                            batch.add_clause(&clause);
-                        }
-                    }
-                }
-            }
-        }
-        drop(batch);
-
+        emit_transformation(&mut solver, &mapping, &swap_lits, graph, 0..t_ub - 1);
         tally.credit_since(ConstraintFamily::Transition, &solver, mark);
 
         // Structure-aware seeding: in an exactly-one group all but one
@@ -756,7 +580,6 @@ impl FlatModel {
             return true;
         }
         let old_t_ub = self.t_ub;
-        let nq = self.mapping.len();
         let np = graph.num_qubits();
         let ne = graph.num_edges();
         let sd = self.sd;
@@ -773,194 +596,53 @@ impl FlatModel {
             .credit_since(ConstraintFamily::Dependency, &self.solver, mark);
 
         // --- Mapping variables + injectivity for the new steps ------------
-        for q in 0..nq {
-            for _ in old_t_ub..new_t_ub {
-                let var = match enc.mapping {
-                    MappingEncoding::OneHot | MappingEncoding::InverseOneHot => {
-                        FdVar::new_onehot(&mut self.solver, np, enc.amo)
-                    }
-                    MappingEncoding::Binary => FdVar::new_binary(&mut self.solver, np),
-                };
-                self.mapping[q].push(var);
-            }
-        }
-        let mapping = &mut self.mapping;
-        let mut batch = BatchSink::new(&mut self.solver);
-        match enc.mapping {
-            MappingEncoding::OneHot => {
-                for t in old_t_ub..new_t_ub {
-                    for p in 0..np {
-                        let sels: Vec<Lit> = (0..nq)
-                            .map(|q| mapping[q][t].eq_lit(&mut batch, p))
-                            .collect();
-                        at_most_one(&mut batch, &sels, enc.amo);
-                    }
-                }
-            }
-            MappingEncoding::Binary => {
-                for t in old_t_ub..new_t_ub {
-                    for q1 in 0..nq {
-                        for q2 in (q1 + 1)..nq {
-                            let diff = fd_differs(&mut batch, &mapping[q1][t], &mapping[q2][t]);
-                            batch.add_clause(&[diff]);
-                        }
-                    }
-                }
-            }
-            MappingEncoding::InverseOneHot => {
-                for t in old_t_ub..new_t_ub {
-                    let mut inv: Vec<FdVar> = (0..np)
-                        .map(|_| FdVar::new_onehot(&mut batch, nq + 1, enc.amo))
-                        .collect();
-                    for q in 0..nq {
-                        for p in 0..np {
-                            let m = mapping[q][t].eq_lit(&mut batch, p);
-                            let i = inv[p].eq_lit(&mut batch, q);
-                            batch.add_clause(&[!m, i]);
-                            batch.add_clause(&[!i, m]);
-                        }
-                    }
-                }
-            }
-        }
-        drop(batch);
+        let new_steps = old_t_ub..new_t_ub;
+        emit_mappings(
+            &mut self.solver,
+            &mut self.mapping,
+            np,
+            enc,
+            new_steps.clone(),
+        );
         mark = self
             .tally
             .credit_since(ConstraintFamily::Mapping, &self.solver, mark);
 
         // --- SWAP variables for the new steps + exclusions ----------------
-        for e in 0..ne {
-            for t in old_t_ub..new_t_ub {
-                let l = Lit::positive(CnfSink::new_var(&mut self.solver));
-                if t < sd - 1 {
-                    self.solver.add_clause([!l]);
-                }
-                self.swap_lits[e].push(l);
-            }
-        }
-        // Replicate the build-time exclusion loops at the larger window,
-        // skipping pairs whose finish times both predate the extension
-        // (those clauses were already emitted).
-        for e1 in 0..ne {
-            let (a1, b1) = graph.edge(e1);
-            for e2 in e1..ne {
-                let (a2, b2) = graph.edge(e2);
-                let shares = e1 == e2 || a1 == a2 || a1 == b2 || b1 == a2 || b1 == b2;
-                if !shares {
-                    continue;
-                }
-                for t1 in (sd - 1)..new_t_ub {
-                    let upper = (t1 + sd).min(new_t_ub);
-                    let lower = if e1 == e2 {
-                        t1 + 1
-                    } else {
-                        (t1 + 1).saturating_sub(sd).max(sd - 1)
-                    };
-                    for t2 in lower..upper {
-                        if (e1 == e2 && t1 == t2) || (t1 < old_t_ub && t2 < old_t_ub) {
-                            continue;
-                        }
-                        self.solver
-                            .add_clause([!self.swap_lits[e1][t1], !self.swap_lits[e2][t2]]);
-                    }
-                }
-            }
-        }
+        emit_swaps(
+            &mut self.solver,
+            &mut self.swap_lits,
+            graph,
+            sd,
+            new_steps.clone(),
+        );
         mark = self
             .tally
             .credit_since(ConstraintFamily::Swap, &self.solver, mark);
 
         // --- Scheduling validity for the new steps (Eq. 1–3) --------------
-        let mapping = &mut self.mapping;
-        let time = &self.time;
-        let swap_lits = &self.swap_lits;
-        let mut batch = BatchSink::new(&mut self.solver);
-        let mut adj_cache: HashMap<(u16, u16, usize), Lit> = HashMap::new();
-        for (g, gate) in circuit.gates().iter().enumerate() {
-            if let Operands::Two(q1, q2) = gate.operands {
-                let (qa, qb) = (q1.min(q2), q1.max(q2));
-                for t in old_t_ub..new_t_ub {
-                    let adj = match adj_cache.get(&(qa, qb, t)) {
-                        Some(&l) => l,
-                        None => {
-                            let mut pair_lits = Vec::with_capacity(2 * ne);
-                            for e in 0..ne {
-                                let (pa, pb) = graph.edge(e);
-                                for (x, y) in [(pa, pb), (pb, pa)] {
-                                    let la = mapping[qa as usize][t].eq_lit(&mut batch, x as usize);
-                                    let lb = mapping[qb as usize][t].eq_lit(&mut batch, y as usize);
-                                    pair_lits.push(gates::and_lit(&mut batch, la, lb));
-                                }
-                            }
-                            let l = gates::or_all(&mut batch, &pair_lits);
-                            adj_cache.insert((qa, qb, t), l);
-                            l
-                        }
-                    };
-                    let mut clause = time.var(g).neq_clause(t);
-                    clause.push(adj);
-                    batch.add_clause(&clause);
-                }
-            }
-        }
-        // Eq. 2–3: every new pair has a new finish time (a swap finishing
-        // at t blocks gates in (t - S_D, t], so old finish times only pair
-        // with old gate times, which were covered by the build).
-        for (g, gate) in circuit.gates().iter().enumerate() {
-            let qubits: Vec<u16> = gate.operands.qubits().collect();
-            for e in 0..ne {
-                let (pa, pb) = graph.edge(e);
-                for t in (sd - 1).max(old_t_ub)..new_t_ub {
-                    for t_prime in (t + 1 - sd)..=t {
-                        for &q in &qubits {
-                            for p in [pa, pb] {
-                                let mut clause = time.var(g).neq_clause(t_prime);
-                                clause.extend(mapping[q as usize][t].neq_clause(p as usize));
-                                clause.push(!swap_lits[e][t]);
-                                batch.add_clause(&clause);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        drop(batch);
+        emit_scheduling(
+            &mut self.solver,
+            &mut self.mapping,
+            &self.time,
+            &self.swap_lits,
+            circuit,
+            graph,
+            sd,
+            new_steps,
+        );
         mark = self
             .tally
             .credit_since(ConstraintFamily::Scheduling, &self.solver, mark);
 
         // --- Mapping transformation across the seam and new steps ---------
-        let mapping = &self.mapping;
-        let swap_lits = &self.swap_lits;
-        let mut batch = BatchSink::new(&mut self.solver);
-        for t in (old_t_ub - 1)..(new_t_ub - 1) {
-            for q in 0..nq {
-                for p in 0..np {
-                    let incident = graph.edges_at(p as u16);
-                    let antecedent = mapping[q][t].neq_clause(p);
-                    for &bit in &mapping[q][t + 1].eq_conj(p) {
-                        let mut clause = antecedent.clone();
-                        clause.extend(incident.iter().map(|&e| swap_lits[e][t]));
-                        clause.push(bit);
-                        batch.add_clause(&clause);
-                    }
-                }
-                for e in 0..ne {
-                    let (pa, pb) = graph.edge(e);
-                    for (from, to) in [(pa, pb), (pb, pa)] {
-                        let antecedent = mapping[q][t].neq_clause(from as usize);
-                        for &bit in &mapping[q][t + 1].eq_conj(to as usize) {
-                            let mut clause = Vec::with_capacity(antecedent.len() + 2);
-                            clause.push(!swap_lits[e][t]);
-                            clause.extend(antecedent.iter().copied());
-                            clause.push(bit);
-                            batch.add_clause(&clause);
-                        }
-                    }
-                }
-            }
-        }
-        drop(batch);
+        emit_transformation(
+            &mut self.solver,
+            &self.mapping,
+            &self.swap_lits,
+            graph,
+            old_t_ub - 1..new_t_ub - 1,
+        );
         mark = self
             .tally
             .credit_since(ConstraintFamily::Transition, &self.solver, mark);
@@ -1341,15 +1023,18 @@ impl ModelSeed {
     }
 
     /// Forks a member model for `config` at depth window `t_ub`, or
-    /// `None` when the seed cannot serve it (different instance, smaller
-    /// window than the template's, or a window growth the incremental
-    /// machinery cannot perform) — the caller then falls back to a fresh
-    /// encode.
+    /// `None` when the seed cannot serve it (different instance, or a
+    /// window growth the incremental machinery cannot perform) — the
+    /// caller then falls back to a fresh encode.
     ///
-    /// A larger window is served by forking and growing the *fork* via
-    /// [`FlatModel::extend_window`], which re-arms the allocation-history
-    /// fingerprint chain on the member, exactly as a freshly encoded
-    /// member would have.
+    /// A smaller window is served at the template's own window: a wider
+    /// window only admits more schedules, every probe bounds the depth
+    /// by an activation literal, and callers read the window back from
+    /// [`FlatModel::t_ub`]. This is what lets a run resume from the
+    /// snapshot of a run whose window grew. A larger window is served by
+    /// forking and growing the *fork* via [`FlatModel::extend_window`],
+    /// which re-arms the allocation-history fingerprint chain on the
+    /// member, exactly as a freshly encoded member would have.
     pub fn fork_for(
         &self,
         config: &SynthesisConfig,
@@ -1363,7 +1048,7 @@ impl ModelSeed {
         }
         let mut base = self.inner.lock().ok()?;
         let base_t_ub = base.t_ub();
-        if t_ub == base_t_ub {
+        if t_ub <= base_t_ub {
             return Some(base.fork(config));
         }
         if t_ub > base_t_ub && config.incremental {
@@ -1411,6 +1096,237 @@ impl SnapshotSlot {
     /// Whether nothing has been published yet.
     pub fn is_empty(&self) -> bool {
         self.inner.lock().expect("snapshot lock").is_none()
+    }
+}
+
+/// Appends one mapping variable per program qubit for each step in
+/// `steps`, with the per-step injectivity constraint.
+fn emit_mappings(
+    solver: &mut Solver,
+    mapping: &mut [Vec<FdVar>],
+    np: usize,
+    enc: EncodingConfig,
+    steps: Range<usize>,
+) {
+    let nq = mapping.len();
+    for per_t in mapping.iter_mut() {
+        for _ in steps.clone() {
+            per_t.push(match enc.mapping {
+                MappingEncoding::OneHot | MappingEncoding::InverseOneHot => {
+                    FdVar::new_onehot(solver, np, enc.amo)
+                }
+                MappingEncoding::Binary => FdVar::new_binary(solver, np),
+            });
+        }
+    }
+    // Injectivity is pure clause emission: stage it through a BatchSink
+    // so the clauses land via one bulk hand-off per buffer instead of a
+    // solver call each.
+    let mut batch = BatchSink::new(solver);
+    match enc.mapping {
+        MappingEncoding::OneHot => {
+            // Pairwise per (t, p): the "int"-style injectivity.
+            for t in steps {
+                for p in 0..np {
+                    let sels: Vec<Lit> = (0..nq)
+                        .map(|q| mapping[q][t].eq_lit(&mut batch, p))
+                        .collect();
+                    at_most_one(&mut batch, &sels, enc.amo);
+                }
+            }
+        }
+        MappingEncoding::Binary => {
+            // Pairwise difference per (t, q<q'): at least one bit of the
+            // two bit-vectors differs.
+            for t in steps {
+                for q1 in 0..nq {
+                    for q2 in (q1 + 1)..nq {
+                        let diff = fd_differs(&mut batch, &mapping[q1][t], &mapping[q2][t]);
+                        batch.add_clause(&[diff]);
+                    }
+                }
+            }
+        }
+        MappingEncoding::InverseOneHot => {
+            // EUF-style: an inverse family π_inv(p, t) over Q ∪ {free}
+            // with channeling; injectivity follows from π_inv being a
+            // function (its exactly-one constraint).
+            for t in steps {
+                let mut inv: Vec<FdVar> = (0..np)
+                    .map(|_| FdVar::new_onehot(&mut batch, nq + 1, enc.amo))
+                    .collect();
+                for q in 0..nq {
+                    for p in 0..np {
+                        let m = mapping[q][t].eq_lit(&mut batch, p);
+                        let i = inv[p].eq_lit(&mut batch, q);
+                        batch.add_clause(&[!m, i]);
+                        batch.add_clause(&[!i, m]);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Appends the SWAP variables finishing at `steps` and their
+/// exclusions: a SWAP cannot finish before `S_D - 1`, and SWAPs on edges
+/// sharing a qubit must not overlap. Pairs whose finish times both lie
+/// before `steps` were emitted with the earlier steps.
+fn emit_swaps(
+    solver: &mut Solver,
+    swap_lits: &mut [Vec<Lit>],
+    graph: &CouplingGraph,
+    sd: usize,
+    steps: Range<usize>,
+) {
+    let (old, new) = (steps.start, steps.end);
+    for row in swap_lits.iter_mut() {
+        for _ in steps.clone() {
+            row.push(Lit::positive(CnfSink::new_var(solver)));
+        }
+    }
+    for row in swap_lits.iter() {
+        for &l in &row[old..(sd - 1).clamp(old, new)] {
+            solver.add_clause([!l]);
+        }
+    }
+    let ne = graph.num_edges();
+    for e1 in 0..ne {
+        let (a1, b1) = graph.edge(e1);
+        for e2 in e1..ne {
+            let (a2, b2) = graph.edge(e2);
+            let shares = e1 == e2 || a1 == a2 || a1 == b2 || b1 == a2 || b1 == b2;
+            if !shares {
+                continue;
+            }
+            for t1 in (sd - 1)..new {
+                let upper = (t1 + sd).min(new);
+                // Windows (t-S_D, t] intersect iff |t1 - t2| < S_D; for
+                // the same edge only emit each unordered pair once.
+                let lower = if e1 == e2 {
+                    t1 + 1
+                } else {
+                    (t1 + 1).saturating_sub(sd).max(sd - 1)
+                };
+                for t2 in lower..upper {
+                    if (e1 == e2 && t1 == t2) || (t1 < old && t2 < old) {
+                        continue;
+                    }
+                    solver.add_clause([!swap_lits[e1][t1], !swap_lits[e2][t2]]);
+                }
+            }
+        }
+    }
+}
+
+/// Valid scheduling at the steps `steps` (Eq. 1–3), staged in bulk
+/// since these families dominate the formula.
+#[allow(clippy::too_many_arguments)]
+fn emit_scheduling(
+    solver: &mut Solver,
+    mapping: &mut [Vec<FdVar>],
+    time: &TimeVars,
+    swap_lits: &[Vec<Lit>],
+    circuit: &Circuit,
+    graph: &CouplingGraph,
+    sd: usize,
+    steps: Range<usize>,
+) {
+    let ne = graph.num_edges();
+    let mut batch = BatchSink::new(solver);
+    // Eq. 1: cache the adjacency disjunction per (qubit pair, t).
+    let mut adj_cache: HashMap<(u16, u16, usize), Lit> = HashMap::new();
+    for (g, gate) in circuit.gates().iter().enumerate() {
+        if let Operands::Two(q1, q2) = gate.operands {
+            let (qa, qb) = (q1.min(q2), q1.max(q2));
+            for t in steps.clone() {
+                let adj = match adj_cache.get(&(qa, qb, t)) {
+                    Some(&l) => l,
+                    None => {
+                        let mut pair_lits = Vec::with_capacity(2 * ne);
+                        for e in 0..ne {
+                            let (pa, pb) = graph.edge(e);
+                            for (x, y) in [(pa, pb), (pb, pa)] {
+                                let la = mapping[qa as usize][t].eq_lit(&mut batch, x as usize);
+                                let lb = mapping[qb as usize][t].eq_lit(&mut batch, y as usize);
+                                pair_lits.push(gates::and_lit(&mut batch, la, lb));
+                            }
+                        }
+                        let l = gates::or_all(&mut batch, &pair_lits);
+                        adj_cache.insert((qa, qb, t), l);
+                        l
+                    }
+                };
+                // (t_g == t) → adjacent(qa, qb, t)
+                let mut clause = time.var(g).neq_clause(t);
+                clause.push(adj);
+                batch.add_clause(&clause);
+            }
+        }
+    }
+    // Eq. 2–3: a SWAP finishing at t occupies its endpoints during the
+    // window (t - S_D, t]; no gate touching those physical qubits may be
+    // scheduled in that window. Only finish times in `steps` are new: a
+    // finish time before them pairs only with gate times before them.
+    for (g, gate) in circuit.gates().iter().enumerate() {
+        let qubits: Vec<u16> = gate.operands.qubits().collect();
+        for e in 0..ne {
+            let (pa, pb) = graph.edge(e);
+            for t in (sd - 1).max(steps.start)..steps.end {
+                for t_prime in (t + 1 - sd)..=t {
+                    for &q in &qubits {
+                        for p in [pa, pb] {
+                            // (t_g == t') ∧ (π_q^t == p) → ¬σ_e^t
+                            let mut clause = time.var(g).neq_clause(t_prime);
+                            clause.extend(mapping[q as usize][t].neq_clause(p as usize));
+                            clause.push(!swap_lits[e][t]);
+                            batch.add_clause(&clause);
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Mapping transformation from each step in `transitions` to the next.
+fn emit_transformation(
+    solver: &mut Solver,
+    mapping: &[Vec<FdVar>],
+    swap_lits: &[Vec<Lit>],
+    graph: &CouplingGraph,
+    transitions: Range<usize>,
+) {
+    let mut batch = BatchSink::new(solver);
+    for t in transitions {
+        for per_t in mapping {
+            // Stay: (π_q^t == p) ∧ no swap at an edge of p finishing at t
+            //       → π_q^{t+1} == p.
+            for p in 0..graph.num_qubits() {
+                let incident = graph.edges_at(p as u16);
+                let antecedent = per_t[t].neq_clause(p);
+                for &bit in &per_t[t + 1].eq_conj(p) {
+                    let mut clause = antecedent.clone();
+                    clause.extend(incident.iter().map(|&e| swap_lits[e][t]));
+                    clause.push(bit);
+                    batch.add_clause(&clause);
+                }
+            }
+            // Move: σ_e^t ∧ (π_q^t == e.p) → π_q^{t+1} == e.p'.
+            for (e, row) in swap_lits.iter().enumerate() {
+                let (pa, pb) = graph.edge(e);
+                for (from, to) in [(pa, pb), (pb, pa)] {
+                    let antecedent = per_t[t].neq_clause(from as usize);
+                    for &bit in &per_t[t + 1].eq_conj(to as usize) {
+                        let mut clause = Vec::with_capacity(antecedent.len() + 2);
+                        clause.push(!row[t]);
+                        clause.extend(antecedent.iter().copied());
+                        clause.push(bit);
+                        batch.add_clause(&clause);
+                    }
+                }
+            }
+        }
     }
 }
 

@@ -9,7 +9,7 @@ use olsq2_arch::CouplingGraph;
 use olsq2_circuit::{Circuit, DependencyGraph};
 use olsq2_layout::LayoutResult;
 use olsq2_obs::SpanGuard;
-use olsq2_sat::{SolveResult, Stats};
+use olsq2_sat::{Lit, SolveResult, Stats};
 use std::time::{Duration, Instant};
 
 /// Stable trace-field value for a solve result.
@@ -226,16 +226,6 @@ impl Olsq2Synthesizer {
         }
     }
 
-    pub(crate) fn arm_budgets(&self, model: &mut FlatModel, deadline: Option<Instant>) {
-        model.solver_mut().set_deadline(deadline);
-        model
-            .solver_mut()
-            .set_conflict_budget(self.config.conflict_budget);
-        model
-            .solver_mut()
-            .set_stop_flag(self.config.stop_flag.clone());
-    }
-
     /// Publishes an intermediate solution to the configured incumbent
     /// slot, so deadline-bound callers can recover the best-so-far when a
     /// later solve is cut off.
@@ -301,6 +291,55 @@ impl Olsq2Synthesizer {
         span.set("restarts", after.restarts - before.restarts);
     }
 
+    /// One solver probe under the caller's `iteration` span: arms the
+    /// probe's bound activators (timed as `encode_us` when there are
+    /// any), the run's deadline, conflict budget and stop flag, solves,
+    /// and tags the span with the verdict, the solve time and the
+    /// solver-stat deltas.
+    pub(crate) fn probe(
+        &self,
+        span: SpanGuard,
+        model: &mut FlatModel,
+        deadline: Option<Instant>,
+        activators: impl FnOnce(&mut FlatModel) -> Vec<Lit>,
+    ) -> SolveResult {
+        let encode_start = Instant::now();
+        let assumptions = activators(model);
+        if !assumptions.is_empty() {
+            span.set("encode_us", encode_start.elapsed().as_micros() as u64);
+        }
+        let solver = model.solver_mut();
+        solver.set_deadline(deadline);
+        solver.set_conflict_budget(self.config.conflict_budget);
+        solver.set_stop_flag(self.config.stop_flag.clone());
+        let stats_before = solver.stats();
+        let solve_start = Instant::now();
+        let res = model.solve(&assumptions);
+        span.set("solve_us", solve_start.elapsed().as_micros() as u64);
+        span.set("result", result_str(res));
+        Self::set_iteration_deltas(&span, stats_before, model.solver_mut().stats());
+        res
+    }
+
+    /// The outcome record for `result` found on `model`.
+    fn outcome(
+        model: &mut FlatModel,
+        result: LayoutResult,
+        proven_optimal: bool,
+        iterations: usize,
+        start: Instant,
+    ) -> SynthesisOutcome {
+        SynthesisOutcome {
+            result,
+            proven_optimal,
+            iterations,
+            elapsed: start.elapsed(),
+            formula_size: model.formula_size(),
+            solver_stats: model.solver_mut().stats(),
+            extensions: model.extensions(),
+        }
+    }
+
     /// Builds the model and solves *once* with the full window and no
     /// objective bound — the Fig. 1 / Table I "solving time" measurement.
     ///
@@ -317,28 +356,12 @@ impl Olsq2Synthesizer {
         let outer = self.config.recorder.span("solve_feasible");
         outer.set("t_ub", t_ub);
         let mut model = self.build_model(circuit, graph, t_ub)?;
-        self.arm_budgets(&mut model, self.deadline());
         let span = self.iteration_span("feasible", &[("t_bound", t_ub)]);
-        let stats_before = model.solver_mut().stats();
-        let solve_start = Instant::now();
-        let res = model.solve(&[]);
-        span.set("solve_us", solve_start.elapsed().as_micros() as u64);
-        span.set("result", result_str(res));
-        Self::set_iteration_deltas(&span, stats_before, model.solver_mut().stats());
-        drop(span);
-        match res {
+        match self.probe(span, &mut model, self.deadline(), |_| Vec::new()) {
             SolveResult::Sat => {
                 let result = model.extract();
                 self.publish_incumbent(&result);
-                Ok(Some(SynthesisOutcome {
-                    result,
-                    proven_optimal: false,
-                    iterations: 1,
-                    elapsed: start.elapsed(),
-                    formula_size: model.formula_size(),
-                    solver_stats: model.solver_mut().stats(),
-                    extensions: model.extensions(),
-                }))
+                Ok(Some(Self::outcome(&mut model, result, false, 1, start)))
             }
             SolveResult::Unsat => Err(SynthesisError::WindowExhausted),
             SolveResult::Unknown => Ok(None),
@@ -350,6 +373,11 @@ impl Olsq2Synthesizer {
     /// `1.1`) until the first SAT. Shared between the sequential
     /// decrement loop below and the cube-and-conquer optimizer
     /// ([`crate::cube::CubeSynthesizer`]), which replaces only phase 2.
+    ///
+    /// When `T_B` outgrows the window, the window grows to exactly `T_B`
+    /// (§III-B-1 last sentence): `T_B` already grows geometrically, so
+    /// the extensions stay O(log), and the model every later phase runs
+    /// on is no larger than the first satisfiable bound needs.
     pub(crate) fn first_feasible_depth(
         &self,
         circuit: &Circuit,
@@ -358,33 +386,16 @@ impl Olsq2Synthesizer {
     ) -> Result<FirstSat, SynthesisError> {
         let dag = self.dependency_graph(circuit);
         let t_lb = dag.longest_chain().max(1);
-        let mut t_ub = self.initial_t_ub(t_lb);
-        let mut model = self.build_model(circuit, graph, t_ub)?;
+        let mut model = self.build_model(circuit, graph, self.initial_t_ub(t_lb))?;
         let mut iterations = 0usize;
         let mut t_b = t_lb;
         loop {
-            if t_b > t_ub {
-                // Regenerate with a larger window (§III-B-1 last sentence).
-                t_ub = (t_b.max((t_ub as f64 * 1.5).ceil() as usize)).min(MAX_T_UB);
-                if t_b > t_ub {
-                    return Err(SynthesisError::WindowExhausted);
-                }
-                self.grow_model(circuit, graph, &mut model, t_ub)?;
+            if t_b > model.t_ub() {
+                self.grow_model(circuit, graph, &mut model, t_b)?;
             }
-            let span = self.iteration_span("depth", &[("t_bound", t_b)]);
-            let encode_start = Instant::now();
-            let act = model.depth_bound(t_b);
-            span.set("encode_us", encode_start.elapsed().as_micros() as u64);
-            self.arm_budgets(&mut model, deadline);
             iterations += 1;
-            let stats_before = model.solver_mut().stats();
-            let solve_start = Instant::now();
-            let res = model.solve(&[act]);
-            span.set("solve_us", solve_start.elapsed().as_micros() as u64);
-            span.set("result", result_str(res));
-            Self::set_iteration_deltas(&span, stats_before, model.solver_mut().stats());
-            drop(span);
-            match res {
+            let span = self.iteration_span("depth", &[("t_bound", t_b)]);
+            match self.probe(span, &mut model, deadline, |m| vec![m.depth_bound(t_b)]) {
                 SolveResult::Sat => {
                     let result = model.extract();
                     self.publish_incumbent(&result);
@@ -403,11 +414,59 @@ impl Olsq2Synthesizer {
                     }
                 }
                 SolveResult::Unknown => {
+                    // The run ends here without an outcome, so this is
+                    // its one snapshot.
                     self.capture_snapshot(circuit, graph, &mut model);
                     return Err(SynthesisError::BudgetExhausted);
                 }
             }
         }
+    }
+
+    /// Phases 1 and 2 of depth optimization on one model. Returns the
+    /// model the decrement ended on — learnt clauses, cached bound
+    /// activators and grown window intact — so the SWAP phase continues
+    /// on it. Snapshot capture is left to the outermost driver.
+    fn depth_phase(
+        &self,
+        circuit: &Circuit,
+        graph: &CouplingGraph,
+        deadline: Option<Instant>,
+        outer: &SpanGuard,
+    ) -> Result<(FlatModel, SynthesisOutcome), SynthesisError> {
+        let start = Instant::now();
+        let FirstSat {
+            mut model,
+            result: mut current,
+            t_lb,
+            mut iterations,
+        } = self.first_feasible_depth(circuit, graph, deadline)?;
+        outer.set("t_lb", t_lb);
+
+        // Phase 2: decrement until UNSAT (or the lower bound is reached).
+        let mut proven_optimal = false;
+        loop {
+            if current.depth <= t_lb {
+                proven_optimal = true;
+                break;
+            }
+            let k = current.depth - 1;
+            iterations += 1;
+            let span = self.iteration_span("depth", &[("t_bound", k)]);
+            match self.probe(span, &mut model, deadline, |m| vec![m.depth_bound(k)]) {
+                SolveResult::Sat => {
+                    current = model.extract();
+                    self.publish_incumbent(&current);
+                }
+                SolveResult::Unsat => {
+                    proven_optimal = true;
+                    break;
+                }
+                SolveResult::Unknown => break, // budget: keep best-so-far
+            }
+        }
+        let outcome = Self::outcome(&mut model, current, proven_optimal, iterations, start);
+        Ok((model, outcome))
     }
 
     /// Depth optimization (§III-B-1): start from `T_B = T_LB`, relax
@@ -423,66 +482,14 @@ impl Olsq2Synthesizer {
         circuit: &Circuit,
         graph: &CouplingGraph,
     ) -> Result<SynthesisOutcome, SynthesisError> {
-        let start = Instant::now();
-        let deadline = self.deadline();
         let outer = self.config.recorder.span("optimize_depth");
-        let FirstSat {
-            mut model,
-            result: first,
-            t_lb,
-            mut iterations,
-        } = self.first_feasible_depth(circuit, graph, deadline)?;
-        outer.set("t_lb", t_lb);
-
-        // Phase 2: decrement until UNSAT (or the lower bound is reached).
-        let mut proven_optimal = false;
-        let mut current = first;
-        loop {
-            if current.depth <= t_lb {
-                proven_optimal = true;
-                break;
-            }
-            let k = current.depth - 1;
-            let span = self.iteration_span("depth", &[("t_bound", k)]);
-            let encode_start = Instant::now();
-            let act = model.depth_bound(k);
-            span.set("encode_us", encode_start.elapsed().as_micros() as u64);
-            self.arm_budgets(&mut model, deadline);
-            iterations += 1;
-            let stats_before = model.solver_mut().stats();
-            let solve_start = Instant::now();
-            let res = model.solve(&[act]);
-            span.set("solve_us", solve_start.elapsed().as_micros() as u64);
-            span.set("result", result_str(res));
-            Self::set_iteration_deltas(&span, stats_before, model.solver_mut().stats());
-            drop(span);
-            match res {
-                SolveResult::Sat => {
-                    current = model.extract();
-                    self.publish_incumbent(&current);
-                }
-                SolveResult::Unsat => {
-                    proven_optimal = true;
-                    break;
-                }
-                SolveResult::Unknown => break, // budget: keep best-so-far
-            }
-        }
-
-        outer.set("iterations", iterations);
-        outer.set("proven_optimal", proven_optimal);
-        if !proven_optimal {
+        let (mut model, outcome) = self.depth_phase(circuit, graph, self.deadline(), &outer)?;
+        outer.set("iterations", outcome.iterations);
+        outer.set("proven_optimal", outcome.proven_optimal);
+        if !outcome.proven_optimal {
             self.capture_snapshot(circuit, graph, &mut model);
         }
-        Ok(SynthesisOutcome {
-            result: current,
-            proven_optimal,
-            iterations,
-            elapsed: start.elapsed(),
-            formula_size: model.formula_size(),
-            solver_stats: model.solver_mut().stats(),
-            extensions: model.extensions(),
-        })
+        Ok(outcome)
     }
 
     /// SWAP-count optimization (§III-B-2): obtain a depth-optimal solution
@@ -490,6 +497,8 @@ impl Olsq2Synthesizer {
     /// under the current depth is proven, relax depth by one step and
     /// retry. Terminates when relaxing the depth brings no reduction
     /// (Pareto-optimal), the count reaches zero, or the budget expires.
+    /// The SWAP phase continues on the depth phase's model, so its
+    /// learnt clauses and window carry over.
     ///
     /// # Errors
     ///
@@ -502,16 +511,11 @@ impl Olsq2Synthesizer {
         let start = Instant::now();
         let deadline = self.deadline();
         let outer = self.config.recorder.span("optimize_swaps");
-        let depth_outcome = self.optimize_depth(circuit, graph)?;
+        let (mut model, depth_outcome) = self.depth_phase(circuit, graph, deadline, &outer)?;
         let mut iterations = depth_outcome.iterations;
-        let mut current = depth_outcome.result.clone();
+        let mut current = depth_outcome.result;
         let mut current_depth = current.depth;
         let capacity = current.swap_count().max(1);
-
-        let dag = self.dependency_graph(circuit);
-        let t_lb = dag.longest_chain().max(1);
-        let mut t_ub = self.initial_t_ub(t_lb).max(current_depth);
-        let mut model = self.build_model(circuit, graph, t_ub)?;
         let mut pareto = vec![(current.depth, current.swap_count())];
         let mut proven;
         let mut relax_rounds = 0usize;
@@ -524,24 +528,14 @@ impl Olsq2Synthesizer {
                     proven = true;
                     break 'outer;
                 }
+                iterations += 1;
                 let span = self.iteration_span(
                     "swaps",
                     &[("t_bound", current_depth), ("swap_bound", s - 1)],
                 );
-                let encode_start = Instant::now();
-                let act_d = model.depth_bound(current_depth);
-                let act_s = model.swap_bound(s - 1, capacity);
-                span.set("encode_us", encode_start.elapsed().as_micros() as u64);
-                self.arm_budgets(&mut model, deadline);
-                iterations += 1;
-                let stats_before = model.solver_mut().stats();
-                let solve_start = Instant::now();
-                let res = model.solve(&[act_d, act_s]);
-                span.set("solve_us", solve_start.elapsed().as_micros() as u64);
-                span.set("result", result_str(res));
-                Self::set_iteration_deltas(&span, stats_before, model.solver_mut().stats());
-                drop(span);
-                match res {
+                match self.probe(span, &mut model, deadline, |m| {
+                    vec![m.depth_bound(current_depth), m.swap_bound(s - 1, capacity)]
+                }) {
                     SolveResult::Sat => {
                         current = model.extract();
                         self.publish_incumbent(&current);
@@ -567,29 +561,19 @@ impl Olsq2Synthesizer {
             relax_rounds += 1;
             let s = current.swap_count();
             let new_depth = current_depth + 1;
-            if new_depth > t_ub {
-                t_ub = (t_ub + self.config.swap_duration.max(1)).min(MAX_T_UB);
+            if new_depth > model.t_ub() {
+                let t_ub = (model.t_ub() + self.config.swap_duration.max(1)).min(MAX_T_UB);
                 if new_depth > t_ub {
                     break;
                 }
                 self.grow_model(circuit, graph, &mut model, t_ub)?;
             }
+            iterations += 1;
             let span =
                 self.iteration_span("swaps", &[("t_bound", new_depth), ("swap_bound", s - 1)]);
-            let encode_start = Instant::now();
-            let act_d = model.depth_bound(new_depth);
-            let act_s = model.swap_bound(s - 1, capacity);
-            span.set("encode_us", encode_start.elapsed().as_micros() as u64);
-            self.arm_budgets(&mut model, deadline);
-            iterations += 1;
-            let stats_before = model.solver_mut().stats();
-            let solve_start = Instant::now();
-            let res = model.solve(&[act_d, act_s]);
-            span.set("solve_us", solve_start.elapsed().as_micros() as u64);
-            span.set("result", result_str(res));
-            Self::set_iteration_deltas(&span, stats_before, model.solver_mut().stats());
-            drop(span);
-            match res {
+            match self.probe(span, &mut model, deadline, |m| {
+                vec![m.depth_bound(new_depth), m.swap_bound(s - 1, capacity)]
+            }) {
                 SolveResult::Sat => {
                     current = model.extract();
                     self.publish_incumbent(&current);
@@ -609,25 +593,13 @@ impl Olsq2Synthesizer {
             }
         }
 
-        let formula_size = model.formula_size();
-        let solver_stats = model.solver_mut().stats();
         outer.set("iterations", iterations);
         outer.set("proven_optimal", proven);
+        let best = Self::outcome(&mut model, current, proven, iterations, start);
         if !proven {
             self.capture_snapshot(circuit, graph, &mut model);
         }
-        Ok(SwapOptimizationOutcome {
-            best: SynthesisOutcome {
-                result: current,
-                proven_optimal: proven,
-                iterations,
-                elapsed: start.elapsed(),
-                formula_size,
-                solver_stats,
-                extensions: model.extensions(),
-            },
-            pareto,
-        })
+        Ok(SwapOptimizationOutcome { best, pareto })
     }
 }
 
@@ -804,6 +776,132 @@ mod tests {
         assert!(
             snap.counters.get("sat.solves").copied().unwrap_or(0) >= out.best.iterations as u64
         );
+    }
+
+    /// Number of `encode` spans a traced run left behind.
+    fn encodes(rec: &olsq2_obs::Recorder) -> usize {
+        rec.snapshot()
+            .spans
+            .iter()
+            .filter(|s| s.name == "encode")
+            .count()
+    }
+
+    #[test]
+    fn swap_phase_continues_on_the_depth_model() {
+        let circuit = triangle();
+        let graph = line(3);
+        let rec = olsq2_obs::Recorder::new();
+        let mut config = SynthesisConfig::with_swap_duration(1);
+        config.recorder = rec.clone();
+        let out = Olsq2Synthesizer::new(config)
+            .optimize_swaps(&circuit, &graph)
+            .expect("solves");
+        assert!(out.best.proven_optimal);
+        assert!(rec.snapshot().spans.iter().any(|s| s.name == "iteration"
+            && s.fields
+                .iter()
+                .any(|(k, v)| k == "objective" && v.to_string() == "swaps")));
+        // One model per request: the SWAP descent reused the depth one.
+        assert_eq!(encodes(&rec), 1);
+    }
+
+    #[test]
+    fn phase_one_grows_the_window_to_the_first_sat_bound() {
+        // tof-3 on line5 with S_D = 3: T_LB = 31, phase 1 relaxes
+        // 31 -> 41 -> 54 and finds its first layout at 54.
+        let circuit = olsq2_circuit::generators::tof_circuit(3);
+        let graph = line(5);
+        let rec = olsq2_obs::Recorder::new();
+        let mut config = SynthesisConfig::with_swap_duration(3);
+        config.recorder = rec.clone();
+        let synth = Olsq2Synthesizer::new(config);
+        let first = synth
+            .first_feasible_depth(&circuit, &graph, None)
+            .expect("solves");
+        let t_bounds: Vec<usize> = rec
+            .snapshot()
+            .spans
+            .iter()
+            .filter(|s| s.name == "iteration")
+            .filter_map(|s| {
+                s.fields
+                    .iter()
+                    .find(|(k, _)| k == "t_bound")
+                    .and_then(|(_, v)| v.to_string().parse().ok())
+            })
+            .collect();
+        let first_sat_bound = *t_bounds.last().expect("phase 1 probed");
+        assert_eq!(t_bounds, vec![first.t_lb, 41, 54]);
+        assert!(first.model.t_ub() <= synth.initial_t_ub(first.t_lb).max(first_sat_bound));
+        assert_eq!(first.model.t_ub(), 54);
+    }
+
+    #[test]
+    fn budget_cut_swap_phase_snapshots_the_warm_model() {
+        let circuit = olsq2_circuit::generators::qaoa_circuit(6, 42);
+        let graph = grid(2, 3);
+        let reference = Olsq2Synthesizer::new(SynthesisConfig::with_swap_duration(1))
+            .optimize_swaps(&circuit, &graph)
+            .expect("solves");
+        assert!(reference.best.proven_optimal);
+
+        // The smallest per-probe conflict budget that lets the depth
+        // phase finish but cuts a SWAP probe short.
+        let swap_unknown = |rec: &olsq2_obs::Recorder| {
+            rec.snapshot().spans.iter().any(|s| {
+                let field = |key: &str| {
+                    s.fields
+                        .iter()
+                        .find(|(k, _)| k == key)
+                        .map(|(_, v)| v.to_string())
+                };
+                s.name == "iteration"
+                    && field("objective").as_deref() == Some("swaps")
+                    && field("result").as_deref() == Some("unknown")
+            })
+        };
+        let mut cut = None;
+        for budget in (0..14).map(|e| 1u64 << e) {
+            let slot = crate::SnapshotSlot::new();
+            let rec = olsq2_obs::Recorder::new();
+            let mut config = SynthesisConfig::with_swap_duration(1);
+            config.conflict_budget = Some(budget);
+            config.snapshot_slot = Some(slot.clone());
+            config.recorder = rec.clone();
+            if let Ok(out) = Olsq2Synthesizer::new(config).optimize_swaps(&circuit, &graph) {
+                if swap_unknown(&rec) {
+                    assert!(!out.best.proven_optimal);
+                    assert_eq!(verify(&circuit, &graph, &out.best.result), Ok(()));
+                    cut = Some(slot);
+                    break;
+                }
+            }
+        }
+        let slot = cut.expect("some budget cuts a SWAP probe");
+        let seed = slot.peek().expect("budget cut published a snapshot");
+        let mut config = SynthesisConfig::with_swap_duration(1);
+        assert_eq!(
+            seed.instance(),
+            ModelSeed::instance_fingerprint(&circuit, &graph, &config)
+        );
+
+        // Resuming forks the snapshot instead of encoding, and proves the
+        // same optimum as the uninterrupted run.
+        let rec = olsq2_obs::Recorder::new();
+        config.model_seed = Some(seed);
+        config.recorder = rec.clone();
+        let resumed = Olsq2Synthesizer::new(config)
+            .optimize_swaps(&circuit, &graph)
+            .expect("resumes");
+        assert!(resumed.best.proven_optimal);
+        assert_eq!(
+            resumed.best.result.swap_count(),
+            reference.best.result.swap_count()
+        );
+        assert_eq!(verify(&circuit, &graph, &resumed.best.result), Ok(()));
+        assert_eq!(encodes(&rec), 0);
+        assert!(rec.snapshot().spans.iter().any(|s| s.name == "fork"));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 
 // Indexed `for` loops are deliberate here: block/edge index loops mirror the paper's formulation.
 #![allow(clippy::needless_range_loop)]
-use crate::config::{MappingEncoding, SynthesisConfig};
+use crate::config::{EncodingConfig, MappingEncoding, SynthesisConfig};
 use crate::model::ModelError;
 use crate::optimize::{result_str, Olsq2Synthesizer, SynthesisError, SynthesisOutcome};
 use crate::vars::{FdVar, TimeVars};
@@ -23,6 +23,7 @@ use olsq2_encode::{
 use olsq2_layout::{LayoutResult, SwapOp};
 use olsq2_sat::{Lit, SolveResult, Solver};
 use std::collections::HashMap;
+use std::ops::Range;
 use std::time::Instant;
 
 /// The transition-based model over a fixed block window.
@@ -73,65 +74,11 @@ impl TransitionModel {
         let mut solver = Solver::new();
         solver.set_features(config.solver_features);
         let enc = config.encoding;
-        let ne = graph.num_edges();
         let mut tally = FamilyTally::new();
         let mut mark = tally.mark(&solver);
 
-        let new_mapping_var = |s: &mut Solver| match enc.mapping {
-            MappingEncoding::OneHot | MappingEncoding::InverseOneHot => {
-                FdVar::new_onehot(s, np, enc.amo)
-            }
-            MappingEncoding::Binary => FdVar::new_binary(s, np),
-        };
-        let mut mapping: Vec<Vec<FdVar>> = (0..nq)
-            .map(|_| (0..blocks).map(|_| new_mapping_var(&mut solver)).collect())
-            .collect();
-
-        // Injectivity per block.
-        match enc.mapping {
-            MappingEncoding::OneHot => {
-                for b in 0..blocks {
-                    for p in 0..np {
-                        let sels: Vec<Lit> = (0..nq)
-                            .map(|q| mapping[q][b].eq_lit(&mut solver, p))
-                            .collect();
-                        at_most_one(&mut solver, &sels, enc.amo);
-                    }
-                }
-            }
-            MappingEncoding::Binary => {
-                for b in 0..blocks {
-                    for q1 in 0..nq {
-                        for q2 in (q1 + 1)..nq {
-                            let diffs: Vec<Lit> = mapping[q1][b]
-                                .raw_lits()
-                                .iter()
-                                .zip(mapping[q2][b].raw_lits())
-                                .map(|(&x, y)| gates::xor_lit(&mut solver, x, y))
-                                .collect();
-                            let diff = gates::or_all(&mut solver, &diffs);
-                            solver.add_clause([diff]);
-                        }
-                    }
-                }
-            }
-            MappingEncoding::InverseOneHot => {
-                for b in 0..blocks {
-                    let mut inv: Vec<FdVar> = (0..np)
-                        .map(|_| FdVar::new_onehot(&mut solver, nq + 1, enc.amo))
-                        .collect();
-                    for q in 0..nq {
-                        for p in 0..np {
-                            let m = mapping[q][b].eq_lit(&mut solver, p);
-                            let i = inv[p].eq_lit(&mut solver, q);
-                            solver.add_clause([!m, i]);
-                            solver.add_clause([!i, m]);
-                        }
-                    }
-                }
-            }
-        }
-
+        let mut mapping: Vec<Vec<FdVar>> = (0..nq).map(|_| Vec::new()).collect();
+        emit_mappings(&mut solver, &mut mapping, np, enc, 0..blocks);
         mark = tally.credit_since(ConstraintFamily::Mapping, &solver, mark);
 
         // Block-index variables; dependencies are non-strict (gates may
@@ -161,92 +108,14 @@ impl TransitionModel {
         mark = tally.credit_since(ConstraintFamily::Dependency, &solver, mark);
 
         // Transition SWAPs: one layer per transition, disjoint edges.
-        let swap_lits: Vec<Vec<Lit>> = (0..ne)
-            .map(|_| {
-                (0..blocks.saturating_sub(1))
-                    .map(|_| Lit::positive(CnfSink::new_var(&mut solver)))
-                    .collect()
-            })
-            .collect();
-        for e1 in 0..ne {
-            let (a1, b1) = graph.edge(e1);
-            for e2 in (e1 + 1)..ne {
-                let (a2, b2) = graph.edge(e2);
-                let shares = a1 == a2 || a1 == b2 || b1 == a2 || b1 == b2;
-                if !shares {
-                    continue;
-                }
-                for b in 0..blocks.saturating_sub(1) {
-                    solver.add_clause([!swap_lits[e1][b], !swap_lits[e2][b]]);
-                }
-            }
-        }
-
+        let mut swap_lits: Vec<Vec<Lit>> = (0..graph.num_edges()).map(|_| Vec::new()).collect();
+        emit_swap_layers(&mut solver, &mut swap_lits, graph, 0..blocks - 1);
         mark = tally.credit_since(ConstraintFamily::Swap, &solver, mark);
 
-        // Adjacency inside blocks (Eq. 1 on block mappings).
-        let mut adj_cache: HashMap<(u16, u16, usize), Lit> = HashMap::new();
-        for (g, gate) in circuit.gates().iter().enumerate() {
-            if let Operands::Two(q1, q2) = gate.operands {
-                let (qa, qb) = (q1.min(q2), q1.max(q2));
-                for b in 0..blocks {
-                    let adj = match adj_cache.get(&(qa, qb, b)) {
-                        Some(&l) => l,
-                        None => {
-                            let mut pair_lits = Vec::with_capacity(2 * ne);
-                            for e in 0..ne {
-                                let (pa, pb) = graph.edge(e);
-                                for (x, y) in [(pa, pb), (pb, pa)] {
-                                    let la =
-                                        mapping[qa as usize][b].eq_lit(&mut solver, x as usize);
-                                    let lb =
-                                        mapping[qb as usize][b].eq_lit(&mut solver, y as usize);
-                                    pair_lits.push(gates::and_lit(&mut solver, la, lb));
-                                }
-                            }
-                            let l = gates::or_all(&mut solver, &pair_lits);
-                            adj_cache.insert((qa, qb, b), l);
-                            l
-                        }
-                    };
-                    let mut clause = time.var(g).neq_clause(b);
-                    clause.push(adj);
-                    solver.add_clause(clause);
-                }
-            }
-        }
-
+        emit_adjacency(&mut solver, &mut mapping, &time, circuit, graph, 0..blocks);
         mark = tally.credit_since(ConstraintFamily::Scheduling, &solver, mark);
 
-        // Mapping transformation between consecutive blocks.
-        for b in 0..blocks.saturating_sub(1) {
-            for q in 0..nq {
-                for p in 0..np {
-                    let incident = graph.edges_at(p as u16);
-                    let antecedent = mapping[q][b].neq_clause(p);
-                    for &bit in &mapping[q][b + 1].eq_conj(p) {
-                        let mut clause = antecedent.clone();
-                        clause.extend(incident.iter().map(|&e| swap_lits[e][b]));
-                        clause.push(bit);
-                        solver.add_clause(clause);
-                    }
-                }
-                for e in 0..ne {
-                    let (pa, pb) = graph.edge(e);
-                    for (from, to) in [(pa, pb), (pb, pa)] {
-                        let antecedent = mapping[q][b].neq_clause(from as usize);
-                        for &bit in &mapping[q][b + 1].eq_conj(to as usize) {
-                            let mut clause = Vec::with_capacity(antecedent.len() + 2);
-                            clause.push(!swap_lits[e][b]);
-                            clause.extend(antecedent.iter().copied());
-                            clause.push(bit);
-                            solver.add_clause(clause);
-                        }
-                    }
-                }
-            }
-        }
-
+        emit_transformation(&mut solver, &mapping, &swap_lits, graph, 0..blocks - 1);
         tally.credit_since(ConstraintFamily::Transition, &solver, mark);
 
         // Structure-aware seeding: same rationale as the flat model —
@@ -340,7 +209,6 @@ impl TransitionModel {
             return true;
         }
         let old_blocks = self.blocks;
-        let nq = self.mapping.len();
         let np = graph.num_qubits();
         let ne = graph.num_edges();
         let enc = config.encoding;
@@ -356,152 +224,50 @@ impl TransitionModel {
             .credit_since(ConstraintFamily::Dependency, &self.solver, mark);
 
         // --- Mapping variables + injectivity for the new blocks -----------
-        for q in 0..nq {
-            for _ in old_blocks..new_blocks {
-                let var = match enc.mapping {
-                    MappingEncoding::OneHot | MappingEncoding::InverseOneHot => {
-                        FdVar::new_onehot(&mut self.solver, np, enc.amo)
-                    }
-                    MappingEncoding::Binary => FdVar::new_binary(&mut self.solver, np),
-                };
-                self.mapping[q].push(var);
-            }
-        }
-        match enc.mapping {
-            MappingEncoding::OneHot => {
-                for b in old_blocks..new_blocks {
-                    for p in 0..np {
-                        let sels: Vec<Lit> = (0..nq)
-                            .map(|q| self.mapping[q][b].eq_lit(&mut self.solver, p))
-                            .collect();
-                        at_most_one(&mut self.solver, &sels, enc.amo);
-                    }
-                }
-            }
-            MappingEncoding::Binary => {
-                for b in old_blocks..new_blocks {
-                    for q1 in 0..nq {
-                        for q2 in (q1 + 1)..nq {
-                            let diffs: Vec<Lit> = self.mapping[q1][b]
-                                .raw_lits()
-                                .iter()
-                                .zip(self.mapping[q2][b].raw_lits())
-                                .map(|(&x, y)| gates::xor_lit(&mut self.solver, x, y))
-                                .collect();
-                            let diff = gates::or_all(&mut self.solver, &diffs);
-                            self.solver.add_clause([diff]);
-                        }
-                    }
-                }
-            }
-            MappingEncoding::InverseOneHot => {
-                for b in old_blocks..new_blocks {
-                    let mut inv: Vec<FdVar> = (0..np)
-                        .map(|_| FdVar::new_onehot(&mut self.solver, nq + 1, enc.amo))
-                        .collect();
-                    for q in 0..nq {
-                        for p in 0..np {
-                            let m = self.mapping[q][b].eq_lit(&mut self.solver, p);
-                            let i = inv[p].eq_lit(&mut self.solver, q);
-                            self.solver.add_clause([!m, i]);
-                            self.solver.add_clause([!i, m]);
-                        }
-                    }
-                }
-            }
-        }
+        emit_mappings(
+            &mut self.solver,
+            &mut self.mapping,
+            np,
+            enc,
+            old_blocks..new_blocks,
+        );
         mark = self
             .tally
             .credit_since(ConstraintFamily::Mapping, &self.solver, mark);
 
-        // --- New transition SWAP layers (indices old_blocks-1..new_blocks-1)
-        for e in 0..ne {
-            for _ in (old_blocks - 1)..(new_blocks - 1) {
-                let l = Lit::positive(CnfSink::new_var(&mut self.solver));
-                self.swap_lits[e].push(l);
-            }
-        }
-        for e1 in 0..ne {
-            let (a1, b1) = graph.edge(e1);
-            for e2 in (e1 + 1)..ne {
-                let (a2, b2) = graph.edge(e2);
-                let shares = a1 == a2 || a1 == b2 || b1 == a2 || b1 == b2;
-                if !shares {
-                    continue;
-                }
-                for b in (old_blocks - 1)..(new_blocks - 1) {
-                    self.solver
-                        .add_clause([!self.swap_lits[e1][b], !self.swap_lits[e2][b]]);
-                }
-            }
-        }
+        // --- New transition SWAP layers -----------------------------------
+        let new_transitions = old_blocks - 1..new_blocks - 1;
+        emit_swap_layers(
+            &mut self.solver,
+            &mut self.swap_lits,
+            graph,
+            new_transitions.clone(),
+        );
         mark = self
             .tally
             .credit_since(ConstraintFamily::Swap, &self.solver, mark);
 
         // --- Adjacency inside the new blocks (Eq. 1) ----------------------
-        let mut adj_cache: HashMap<(u16, u16, usize), Lit> = HashMap::new();
-        for (g, gate) in circuit.gates().iter().enumerate() {
-            if let Operands::Two(q1, q2) = gate.operands {
-                let (qa, qb) = (q1.min(q2), q1.max(q2));
-                for b in old_blocks..new_blocks {
-                    let adj = match adj_cache.get(&(qa, qb, b)) {
-                        Some(&l) => l,
-                        None => {
-                            let mut pair_lits = Vec::with_capacity(2 * ne);
-                            for e in 0..ne {
-                                let (pa, pb) = graph.edge(e);
-                                for (x, y) in [(pa, pb), (pb, pa)] {
-                                    let la = self.mapping[qa as usize][b]
-                                        .eq_lit(&mut self.solver, x as usize);
-                                    let lb = self.mapping[qb as usize][b]
-                                        .eq_lit(&mut self.solver, y as usize);
-                                    pair_lits.push(gates::and_lit(&mut self.solver, la, lb));
-                                }
-                            }
-                            let l = gates::or_all(&mut self.solver, &pair_lits);
-                            adj_cache.insert((qa, qb, b), l);
-                            l
-                        }
-                    };
-                    let mut clause = self.time.var(g).neq_clause(b);
-                    clause.push(adj);
-                    self.solver.add_clause(clause);
-                }
-            }
-        }
+        emit_adjacency(
+            &mut self.solver,
+            &mut self.mapping,
+            &self.time,
+            circuit,
+            graph,
+            old_blocks..new_blocks,
+        );
         mark = self
             .tally
             .credit_since(ConstraintFamily::Scheduling, &self.solver, mark);
 
         // --- Mapping transformation across the seam and new blocks --------
-        for b in (old_blocks - 1)..(new_blocks - 1) {
-            for q in 0..nq {
-                for p in 0..np {
-                    let incident = graph.edges_at(p as u16);
-                    let antecedent = self.mapping[q][b].neq_clause(p);
-                    for &bit in &self.mapping[q][b + 1].eq_conj(p) {
-                        let mut clause = antecedent.clone();
-                        clause.extend(incident.iter().map(|&e| self.swap_lits[e][b]));
-                        clause.push(bit);
-                        self.solver.add_clause(clause);
-                    }
-                }
-                for e in 0..ne {
-                    let (pa, pb) = graph.edge(e);
-                    for (from, to) in [(pa, pb), (pb, pa)] {
-                        let antecedent = self.mapping[q][b].neq_clause(from as usize);
-                        for &bit in &self.mapping[q][b + 1].eq_conj(to as usize) {
-                            let mut clause = Vec::with_capacity(antecedent.len() + 2);
-                            clause.push(!self.swap_lits[e][b]);
-                            clause.extend(antecedent.iter().copied());
-                            clause.push(bit);
-                            self.solver.add_clause(clause);
-                        }
-                    }
-                }
-            }
-        }
+        emit_transformation(
+            &mut self.solver,
+            &self.mapping,
+            &self.swap_lits,
+            graph,
+            new_transitions,
+        );
         mark = self
             .tally
             .credit_since(ConstraintFamily::Transition, &self.solver, mark);
@@ -690,6 +456,177 @@ impl TransitionModel {
             mapping,
             gate_block,
             swaps,
+        }
+    }
+}
+
+/// Appends one mapping variable per program qubit for each block in
+/// `blocks`, with the per-block injectivity constraint.
+fn emit_mappings(
+    solver: &mut Solver,
+    mapping: &mut [Vec<FdVar>],
+    np: usize,
+    enc: EncodingConfig,
+    blocks: Range<usize>,
+) {
+    let nq = mapping.len();
+    for per_b in mapping.iter_mut() {
+        for _ in blocks.clone() {
+            per_b.push(match enc.mapping {
+                MappingEncoding::OneHot | MappingEncoding::InverseOneHot => {
+                    FdVar::new_onehot(solver, np, enc.amo)
+                }
+                MappingEncoding::Binary => FdVar::new_binary(solver, np),
+            });
+        }
+    }
+    match enc.mapping {
+        MappingEncoding::OneHot => {
+            for b in blocks {
+                for p in 0..np {
+                    let sels: Vec<Lit> = (0..nq).map(|q| mapping[q][b].eq_lit(solver, p)).collect();
+                    at_most_one(solver, &sels, enc.amo);
+                }
+            }
+        }
+        MappingEncoding::Binary => {
+            for b in blocks {
+                for q1 in 0..nq {
+                    for q2 in (q1 + 1)..nq {
+                        let diffs: Vec<Lit> = mapping[q1][b]
+                            .raw_lits()
+                            .iter()
+                            .zip(mapping[q2][b].raw_lits())
+                            .map(|(&x, y)| gates::xor_lit(solver, x, y))
+                            .collect();
+                        let diff = gates::or_all(solver, &diffs);
+                        solver.add_clause([diff]);
+                    }
+                }
+            }
+        }
+        MappingEncoding::InverseOneHot => {
+            for b in blocks {
+                let mut inv: Vec<FdVar> = (0..np)
+                    .map(|_| FdVar::new_onehot(solver, nq + 1, enc.amo))
+                    .collect();
+                for q in 0..nq {
+                    for p in 0..np {
+                        let m = mapping[q][b].eq_lit(solver, p);
+                        let i = inv[p].eq_lit(solver, q);
+                        solver.add_clause([!m, i]);
+                        solver.add_clause([!i, m]);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Appends the SWAP layers of `transitions`, one variable per edge and
+/// transition; the SWAPs of one layer act on disjoint edges.
+fn emit_swap_layers(
+    solver: &mut Solver,
+    swap_lits: &mut [Vec<Lit>],
+    graph: &CouplingGraph,
+    transitions: Range<usize>,
+) {
+    for row in swap_lits.iter_mut() {
+        for _ in transitions.clone() {
+            row.push(Lit::positive(CnfSink::new_var(solver)));
+        }
+    }
+    let ne = graph.num_edges();
+    for e1 in 0..ne {
+        let (a1, b1) = graph.edge(e1);
+        for e2 in (e1 + 1)..ne {
+            let (a2, b2) = graph.edge(e2);
+            let shares = a1 == a2 || a1 == b2 || b1 == a2 || b1 == b2;
+            if !shares {
+                continue;
+            }
+            for b in transitions.clone() {
+                solver.add_clause([!swap_lits[e1][b], !swap_lits[e2][b]]);
+            }
+        }
+    }
+}
+
+/// Adjacency inside `blocks` (Eq. 1 on block mappings): a two-qubit
+/// gate placed in block `b` acts on a device edge under its mapping.
+fn emit_adjacency(
+    solver: &mut Solver,
+    mapping: &mut [Vec<FdVar>],
+    time: &TimeVars,
+    circuit: &Circuit,
+    graph: &CouplingGraph,
+    blocks: Range<usize>,
+) {
+    let ne = graph.num_edges();
+    let mut adj_cache: HashMap<(u16, u16, usize), Lit> = HashMap::new();
+    for (g, gate) in circuit.gates().iter().enumerate() {
+        if let Operands::Two(q1, q2) = gate.operands {
+            let (qa, qb) = (q1.min(q2), q1.max(q2));
+            for b in blocks.clone() {
+                let adj = match adj_cache.get(&(qa, qb, b)) {
+                    Some(&l) => l,
+                    None => {
+                        let mut pair_lits = Vec::with_capacity(2 * ne);
+                        for e in 0..ne {
+                            let (pa, pb) = graph.edge(e);
+                            for (x, y) in [(pa, pb), (pb, pa)] {
+                                let la = mapping[qa as usize][b].eq_lit(solver, x as usize);
+                                let lb = mapping[qb as usize][b].eq_lit(solver, y as usize);
+                                pair_lits.push(gates::and_lit(solver, la, lb));
+                            }
+                        }
+                        let l = gates::or_all(solver, &pair_lits);
+                        adj_cache.insert((qa, qb, b), l);
+                        l
+                    }
+                };
+                let mut clause = time.var(g).neq_clause(b);
+                clause.push(adj);
+                solver.add_clause(clause);
+            }
+        }
+    }
+}
+
+/// Mapping transformation across `transitions`: a qubit keeps its
+/// position unless a SWAP on an incident edge moves it.
+fn emit_transformation(
+    solver: &mut Solver,
+    mapping: &[Vec<FdVar>],
+    swap_lits: &[Vec<Lit>],
+    graph: &CouplingGraph,
+    transitions: Range<usize>,
+) {
+    for b in transitions {
+        for per_b in mapping {
+            for p in 0..graph.num_qubits() {
+                let incident = graph.edges_at(p as u16);
+                let antecedent = per_b[b].neq_clause(p);
+                for &bit in &per_b[b + 1].eq_conj(p) {
+                    let mut clause = antecedent.clone();
+                    clause.extend(incident.iter().map(|&e| swap_lits[e][b]));
+                    clause.push(bit);
+                    solver.add_clause(clause);
+                }
+            }
+            for (e, row) in swap_lits.iter().enumerate() {
+                let (pa, pb) = graph.edge(e);
+                for (from, to) in [(pa, pb), (pb, pa)] {
+                    let antecedent = per_b[b].neq_clause(from as usize);
+                    for &bit in &per_b[b + 1].eq_conj(to as usize) {
+                        let mut clause = Vec::with_capacity(antecedent.len() + 2);
+                        clause.push(!row[b]);
+                        clause.extend(antecedent.iter().copied());
+                        clause.push(bit);
+                        solver.add_clause(clause);
+                    }
+                }
+            }
         }
     }
 }
@@ -906,20 +843,59 @@ impl TbOlsq2Synthesizer {
         }
     }
 
-    /// Minimizes the block count: start at 1 block, increase by 1 until
-    /// SAT (§III-D).
-    ///
-    /// # Errors
-    ///
-    /// Standard [`SynthesisError`] conditions.
-    pub fn optimize_blocks(
+    /// One solver probe under the caller's `iteration` span — the
+    /// transition-model twin of `Olsq2Synthesizer::probe`: arms the
+    /// activators (timed as `encode_us`) and the run's budgets, solves,
+    /// and tags the span with the verdict, solve time and stat deltas.
+    fn probe(
+        &self,
+        span: olsq2_obs::SpanGuard,
+        model: &mut TransitionModel,
+        deadline: Option<Instant>,
+        activators: impl FnOnce(&mut TransitionModel) -> Vec<Lit>,
+    ) -> SolveResult {
+        let encode_start = Instant::now();
+        let assumptions = activators(model);
+        span.set("encode_us", encode_start.elapsed().as_micros() as u64);
+        self.arm(model, deadline);
+        let stats_before = model.solver.stats();
+        let solve_start = Instant::now();
+        let res = model.solve(&assumptions);
+        span.set("solve_us", solve_start.elapsed().as_micros() as u64);
+        span.set("result", result_str(res));
+        Olsq2Synthesizer::set_iteration_deltas(&span, stats_before, model.solver.stats());
+        res
+    }
+
+    /// The outcome record for `result` found on `model`.
+    fn outcome(
+        model: &TransitionModel,
+        result: olsq2_layout::LayoutResult,
+        proven_optimal: bool,
+        iterations: usize,
+        start: Instant,
+    ) -> SynthesisOutcome {
+        SynthesisOutcome {
+            result,
+            proven_optimal,
+            iterations,
+            elapsed: start.elapsed(),
+            formula_size: (model.solver.num_vars(), model.solver.num_clauses()),
+            solver_stats: model.solver.stats(),
+            extensions: model.extensions,
+        }
+    }
+
+    /// The block-minimization loop on one model. Returns the model the
+    /// first SAT was found on — learnt clauses, cached block activators
+    /// and grown window intact — so the SWAP phase continues on it.
+    fn blocks_phase(
         &self,
         circuit: &Circuit,
         graph: &CouplingGraph,
-    ) -> Result<TbOutcome, SynthesisError> {
+        deadline: Option<Instant>,
+    ) -> Result<(TransitionModel, TbOutcome), SynthesisError> {
         let start = Instant::now();
-        let deadline = self.deadline();
-        let outer = self.config.recorder.span("tb_optimize_blocks");
         let mut window = 4usize;
         let mut model = self.build_model(circuit, graph, window)?;
         let mut iterations = 0usize;
@@ -932,37 +908,23 @@ impl TbOlsq2Synthesizer {
                 }
                 self.grow_model(circuit, graph, &mut model, window)?;
             }
-            let span = self.iteration_span("blocks", &[("block_bound", k)]);
-            let encode_start = Instant::now();
-            let act = model.block_bound(k);
-            span.set("encode_us", encode_start.elapsed().as_micros() as u64);
-            self.arm(&mut model, deadline);
             iterations += 1;
-            let stats_before = model.solver.stats();
-            let solve_start = Instant::now();
-            let res = model.solve(&[act]);
-            span.set("solve_us", solve_start.elapsed().as_micros() as u64);
-            span.set("result", result_str(res));
-            Olsq2Synthesizer::set_iteration_deltas(&span, stats_before, model.solver.stats());
-            drop(span);
-            match res {
+            let span = self.iteration_span("blocks", &[("block_bound", k)]);
+            match self.probe(span, &mut model, deadline, |m| vec![m.block_bound(k)]) {
                 SolveResult::Sat => {
                     let sol = model.decode(circuit);
                     let result = sol.lower(circuit, self.config.swap_duration);
                     self.publish_incumbent(&result);
-                    outer.set("iterations", iterations);
-                    return Ok(TbOutcome {
-                        outcome: SynthesisOutcome {
-                            result,
-                            proven_optimal: true, // monotone: k-1 was UNSAT
-                            iterations,
-                            elapsed: start.elapsed(),
-                            formula_size: (model.solver.num_vars(), model.solver.num_clauses()),
-                            solver_stats: model.solver.stats(),
-                            extensions: model.extensions,
+                    // Monotone: k-1 was UNSAT, so the count is optimal.
+                    let outcome = Self::outcome(&model, result, true, iterations, start);
+                    let block_count = sol.used_blocks();
+                    return Ok((
+                        model,
+                        TbOutcome {
+                            outcome,
+                            block_count,
                         },
-                        block_count: sol.used_blocks(),
-                    });
+                    ));
                 }
                 SolveResult::Unsat => k += 1,
                 SolveResult::Unknown => return Err(SynthesisError::BudgetExhausted),
@@ -970,10 +932,29 @@ impl TbOlsq2Synthesizer {
         }
     }
 
+    /// Minimizes the block count: start at 1 block, increase by 1 until
+    /// SAT (§III-D).
+    ///
+    /// # Errors
+    ///
+    /// Standard [`SynthesisError`] conditions.
+    pub fn optimize_blocks(
+        &self,
+        circuit: &Circuit,
+        graph: &CouplingGraph,
+    ) -> Result<TbOutcome, SynthesisError> {
+        let outer = self.config.recorder.span("tb_optimize_blocks");
+        let (_, first) = self.blocks_phase(circuit, graph, self.deadline())?;
+        outer.set("iterations", first.outcome.iterations);
+        Ok(first)
+    }
+
     /// SWAP-count optimization over the transition model: block-optimal
     /// first, then iterative descent; relax the block count when the
     /// optimum under the current count is proven; stop early when
-    /// `S = blocks - 1` (each transition needs at least one SWAP).
+    /// `S = blocks - 1` (each transition needs at least one SWAP). The
+    /// SWAP phase continues on the block phase's model, so its learnt
+    /// clauses and window carry over.
     ///
     /// # Errors
     ///
@@ -986,14 +967,13 @@ impl TbOlsq2Synthesizer {
         let start = Instant::now();
         let deadline = self.deadline();
         let outer = self.config.recorder.span("tb_optimize_swaps");
-        let first = self.optimize_blocks(circuit, graph)?;
+        let (mut model, first) = self.blocks_phase(circuit, graph, deadline)?;
         let mut iterations = first.outcome.iterations;
         let mut blocks = first.block_count;
-        let mut window = blocks.max(2);
-        let mut model = self.build_model(circuit, graph, window)?;
         let mut best_sol: Option<TbSolution> = None;
         let mut best_count = first.outcome.result.swap_count();
         let capacity = best_count.max(1);
+        let card = self.config.encoding.cardinality;
         let mut proven;
         let mut relax_rounds = 0usize;
 
@@ -1016,25 +996,13 @@ impl TbOlsq2Synthesizer {
                     break;
                 }
                 let k = lo + (best_count - 1 - lo) / 2;
-                let span = self.iteration_span(
-                    "swaps",
-                    &[("block_bound", blocks.min(window)), ("swap_bound", k)],
-                );
-                span.set("strategy", "bracket");
-                let encode_start = Instant::now();
-                let act_b = model.block_bound(blocks.min(window));
-                let act_s = model.swap_bound(k, capacity, self.config.encoding.cardinality);
-                span.set("encode_us", encode_start.elapsed().as_micros() as u64);
-                self.arm(&mut model, deadline);
                 iterations += 1;
-                let stats_before = model.solver.stats();
-                let solve_start = Instant::now();
-                let res = model.solve(&[act_b, act_s]);
-                span.set("solve_us", solve_start.elapsed().as_micros() as u64);
-                span.set("result", result_str(res));
-                Olsq2Synthesizer::set_iteration_deltas(&span, stats_before, model.solver.stats());
-                drop(span);
-                match res {
+                let span =
+                    self.iteration_span("swaps", &[("block_bound", blocks), ("swap_bound", k)]);
+                span.set("strategy", "bracket");
+                match self.probe(span, &mut model, deadline, |m| {
+                    vec![m.block_bound(blocks), m.swap_bound(k, capacity, card)]
+                }) {
                     SolveResult::Sat => {
                         // The witness may beat the probed bound: jump the
                         // upper end straight to its achieved count.
@@ -1068,29 +1036,20 @@ impl TbOlsq2Synthesizer {
             relax_rounds += 1;
             // Relax the block count by one and try to do better.
             let new_blocks = blocks + 1;
-            if new_blocks > window {
-                window = new_blocks;
-                self.grow_model(circuit, graph, &mut model, window)?;
+            if new_blocks > model.blocks {
+                self.grow_model(circuit, graph, &mut model, new_blocks)?;
             }
+            iterations += 1;
             let span = self.iteration_span(
                 "swaps",
                 &[("block_bound", new_blocks), ("swap_bound", best_count - 1)],
             );
-            let encode_start = Instant::now();
-            let act_b = model.block_bound(new_blocks);
-            let act_s =
-                model.swap_bound(best_count - 1, capacity, self.config.encoding.cardinality);
-            span.set("encode_us", encode_start.elapsed().as_micros() as u64);
-            self.arm(&mut model, deadline);
-            iterations += 1;
-            let stats_before = model.solver.stats();
-            let solve_start = Instant::now();
-            let res = model.solve(&[act_b, act_s]);
-            span.set("solve_us", solve_start.elapsed().as_micros() as u64);
-            span.set("result", result_str(res));
-            Olsq2Synthesizer::set_iteration_deltas(&span, stats_before, model.solver.stats());
-            drop(span);
-            match res {
+            match self.probe(span, &mut model, deadline, |m| {
+                vec![
+                    m.block_bound(new_blocks),
+                    m.swap_bound(best_count - 1, capacity, card),
+                ]
+            }) {
                 SolveResult::Sat => {
                     let sol = model.decode(circuit);
                     best_count = sol.swap_count();
@@ -1114,20 +1073,12 @@ impl TbOlsq2Synthesizer {
                 let bc = sol.used_blocks();
                 (sol.lower(circuit, self.config.swap_duration), bc)
             }
-            None => (first.outcome.result.clone(), first.block_count),
+            None => (first.outcome.result, first.block_count),
         };
         outer.set("iterations", iterations);
         outer.set("proven_optimal", proven);
         Ok(TbOutcome {
-            outcome: SynthesisOutcome {
-                result,
-                proven_optimal: proven,
-                iterations,
-                elapsed: start.elapsed(),
-                formula_size: (model.solver.num_vars(), model.solver.num_clauses()),
-                solver_stats: model.solver.stats(),
-                extensions: model.extensions,
-            },
+            outcome: Self::outcome(&model, result, proven, iterations, start),
             block_count,
         })
     }
@@ -1167,15 +1118,7 @@ impl TbOlsq2Synthesizer {
                 let sol = model.decode(circuit);
                 let result = sol.lower(circuit, self.config.swap_duration);
                 self.publish_incumbent(&result);
-                Ok(Some(SynthesisOutcome {
-                    result,
-                    proven_optimal: false,
-                    iterations: 1,
-                    elapsed: start.elapsed(),
-                    formula_size: (model.solver.num_vars(), model.solver.num_clauses()),
-                    solver_stats: model.solver.stats(),
-                    extensions: model.extensions,
-                }))
+                Ok(Some(Self::outcome(&model, result, false, 1, start)))
             }
             SolveResult::Unsat => Err(SynthesisError::WindowExhausted),
             SolveResult::Unknown => Ok(None),
@@ -1244,6 +1187,31 @@ mod tests {
         assert_eq!(out.block_count, 1);
         assert_eq!(out.outcome.result.depth, 3);
         assert_eq!(verify(&circuit, &line(2), &out.outcome.result), Ok(()));
+    }
+
+    #[test]
+    fn tb_swap_phase_continues_on_the_block_model() {
+        let circuit = olsq2_circuit::generators::qaoa_circuit(4, 42);
+        let graph = line(4);
+        let rec = olsq2_obs::Recorder::new();
+        let mut config = SynthesisConfig::with_swap_duration(1);
+        config.recorder = rec.clone();
+        let out = TbOlsq2Synthesizer::new(config)
+            .optimize_swaps(&circuit, &graph)
+            .expect("solves");
+        assert_eq!(verify(&circuit, &graph, &out.outcome.result), Ok(()));
+        let snap = rec.snapshot();
+        let objective = |name: &str| {
+            snap.spans.iter().any(|s| {
+                s.name == "iteration"
+                    && s.fields
+                        .iter()
+                        .any(|(k, v)| k == "objective" && v.to_string() == name)
+            })
+        };
+        assert!(objective("blocks") && objective("swaps"));
+        // One model per request: the SWAP descent reused the block one.
+        assert_eq!(snap.spans.iter().filter(|s| s.name == "encode").count(), 1);
     }
 
     #[test]
