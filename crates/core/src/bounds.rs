@@ -54,12 +54,12 @@
 //!   off), every worker logs clauses and core lemmas; the refutation of
 //!   the decisive bound (`optimum − 1`) is sealed into a self-contained
 //!   RUP-checkable certificate by closing the worker's cloned log with
-//!   the failed-assumption core ([`Solver::final_conflict`]) as units.
-//!   Cube escalations hand back an already-stitched proof.
+//!   the failed-assumption core ([`olsq2_sat::Solver::final_conflict`])
+//!   as units. Cube escalations hand back an already-stitched proof.
 
 use crate::config::{SolverDiversification, SynthesisConfig};
 use crate::cube::{CubeModel, CubeParams};
-use crate::model::FlatModel;
+use crate::model::{FlatModel, OverlapForm};
 use crate::optimize::{
     result_str, FirstSat, Olsq2Synthesizer, SwapOptimizationOutcome, SynthesisError,
     SynthesisOutcome, MAX_T_UB,
@@ -851,7 +851,9 @@ impl BoundScheduler {
     }
 
     /// Phase 1 (shared geometric relaxation) + the depth decrement as one
-    /// bracketed race. Returns the warm cohort for the SWAP phase.
+    /// bracketed race. Returns the warm cohort for the SWAP phase; with
+    /// `fork_for_swaps` its models carry the SWAP descent's overlap form
+    /// ([`OverlapForm::Window`]).
     fn depth_phase(
         &self,
         circuit: &Circuit,
@@ -860,12 +862,19 @@ impl BoundScheduler {
         fork_for_swaps: bool,
     ) -> Result<DepthPhase, SynthesisError> {
         let config = self.inner.config();
+        let overlap = if fork_for_swaps {
+            OverlapForm::Window
+        } else {
+            OverlapForm::PerGate
+        };
         let FirstSat {
             model: mut template,
             result: first,
             t_lb,
             iterations,
-        } = self.inner.first_feasible_depth(circuit, graph, deadline)?;
+        } = self
+            .inner
+            .first_feasible_depth(circuit, graph, deadline, overlap)?;
         if first.depth <= t_lb {
             // Phase 1 landed on the structural lower bound: nothing to
             // race. Fork the cohort only if a SWAP phase will use it;
@@ -1231,8 +1240,10 @@ mod tests {
     fn proof_mode_seals_checkable_refutations() {
         let circuit = qaoa_circuit(4, 0xA5);
         let device = line(4);
-        let mut config = SynthesisConfig::default();
-        config.proof_log = true;
+        let config = SynthesisConfig {
+            proof_log: true,
+            ..SynthesisConfig::default()
+        };
         let out = BoundScheduler::new(config, race(2))
             .optimize_depth(&circuit, &device)
             .expect("race");

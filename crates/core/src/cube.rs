@@ -24,7 +24,7 @@
 //!   final `depth ≤ optimum − 1` query.
 
 use crate::config::{SolverDiversification, SynthesisConfig};
-use crate::model::FlatModel;
+use crate::model::{FlatModel, OverlapForm};
 use crate::optimize::{result_str, FirstSat, Olsq2Synthesizer, SynthesisError, SynthesisOutcome};
 use crate::sharing::{CohortEndpoint, SharedClausePool};
 use olsq2_arch::CouplingGraph;
@@ -303,7 +303,9 @@ impl CubeSynthesizer {
             result: first,
             t_lb,
             mut iterations,
-        } = self.inner.first_feasible_depth(circuit, graph, deadline)?;
+        } = self
+            .inner
+            .first_feasible_depth(circuit, graph, deadline, OverlapForm::PerGate)?;
         outer.set("t_lb", t_lb);
         let mut current = first;
         let mut cube_stats = CubeStats::default();

@@ -60,7 +60,7 @@ pub use cube::{CubeModel, CubeOutcome, CubeParams, CubeSynthesizer};
 // Re-exported so downstream users can enable tracing without naming the
 // obs crate explicitly.
 pub use incumbent::IncumbentSlot;
-pub use model::{FlatModel, ModelError, ModelSeed, ModelStyle, SnapshotSlot};
+pub use model::{FlatModel, ModelError, ModelSeed, ModelStyle, OverlapForm, SnapshotSlot};
 pub use olsq2_obs::{Probe, Recorder};
 // Re-exported so portfolio users can tune sharing without naming the sat
 // crate explicitly.

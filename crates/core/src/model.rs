@@ -9,7 +9,8 @@
 //! There are **no space variables**: gate positions are implied by mapping
 //! and time variables (Improvement 1). Constraints follow §II-A/§III-A-2:
 //! injectivity, dependencies, two-qubit adjacency (Eq. 1), SWAP/gate
-//! overlap (Eq. 2–3), SWAP/SWAP exclusion, and mapping transformation.
+//! overlap (Eq. 2–3, in one of two equivalent forms, see
+//! [`OverlapForm`]), SWAP/SWAP exclusion, and mapping transformation.
 //! Objective bounds are attached through activation literals so the
 //! optimization loops of §III-B stay incremental.
 
@@ -79,6 +80,25 @@ pub enum ModelStyle {
     OlsqBaseline,
 }
 
+/// How an OLSQ2 model writes the SWAP/gate overlap constraints (Eq. 2–3).
+///
+/// Both forms admit the same layouts: resolving the window form's busy
+/// literal away yields exactly the per-gate clauses. They differ in size
+/// and in how the solver searches them, so each driver picks the form
+/// that is faster for the objective it serves (see DESIGN.md §5).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum OverlapForm {
+    /// One clause `(t_g ≠ t′) ∨ (π_q^t ≠ p) ∨ ¬σ_e^t` per gate, window
+    /// step, gate operand, edge and endpoint — OLSQ's form. Depth
+    /// optimization and feasibility solves use it.
+    PerGate,
+    /// One busy literal `w_q^t` per program qubit `q` and SWAP finish
+    /// step `t`, implied by every gate on `q` running in `(t − S_D, t]`:
+    /// `(t_g ≠ t′) ∨ w_q^t`, and `¬w_q^t ∨ (π_q^t ≠ p) ∨ ¬σ_e^t` per edge
+    /// and endpoint. SWAP-count optimization uses it.
+    Window,
+}
+
 /// The built model plus handles for incremental bounding and extraction.
 #[derive(Debug)]
 pub struct FlatModel {
@@ -91,6 +111,7 @@ pub struct FlatModel {
     t_ub: usize,
     sd: usize,
     style: ModelStyle,
+    overlap: OverlapForm,
     config: SynthesisConfig,
     depth_bounds: HashMap<usize, Lit>,
     swap_card: Option<CardinalityNetwork>,
@@ -147,6 +168,34 @@ impl FlatModel {
         config: &SynthesisConfig,
         t_ub: usize,
         style: ModelStyle,
+    ) -> Result<FlatModel, ModelError> {
+        Self::encode(circuit, graph, config, t_ub, style, OverlapForm::PerGate)
+    }
+
+    /// Builds the OLSQ2 model with the given form of the overlap
+    /// constraints (see [`OverlapForm`]). The form is kept by
+    /// [`FlatModel::extend_window`] and [`FlatModel::fork`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ModelError`] when the instance is structurally infeasible.
+    pub fn build_with_overlap(
+        circuit: &Circuit,
+        graph: &CouplingGraph,
+        config: &SynthesisConfig,
+        t_ub: usize,
+        overlap: OverlapForm,
+    ) -> Result<FlatModel, ModelError> {
+        Self::encode(circuit, graph, config, t_ub, ModelStyle::Olsq2, overlap)
+    }
+
+    fn encode(
+        circuit: &Circuit,
+        graph: &CouplingGraph,
+        config: &SynthesisConfig,
+        t_ub: usize,
+        style: ModelStyle,
+        overlap: OverlapForm,
     ) -> Result<FlatModel, ModelError> {
         let nq = circuit.num_qubits();
         let np = graph.num_qubits();
@@ -264,6 +313,7 @@ impl FlatModel {
                     circuit,
                     graph,
                     sd,
+                    overlap,
                     0..t_ub,
                 );
             }
@@ -471,6 +521,7 @@ impl FlatModel {
             t_ub,
             sd,
             style,
+            overlap,
             config: config.clone(),
             depth_bounds: HashMap::new(),
             swap_card: None,
@@ -530,6 +581,7 @@ impl FlatModel {
             t_ub: self.t_ub,
             sd: self.sd,
             style: self.style,
+            overlap: self.overlap,
             config: config.clone(),
             depth_bounds: self.depth_bounds.clone(),
             swap_card: self.swap_card.clone(),
@@ -629,6 +681,7 @@ impl FlatModel {
             circuit,
             graph,
             sd,
+            self.overlap,
             new_steps,
         );
         mark = self
@@ -760,6 +813,11 @@ impl FlatModel {
     /// The depth window `T_UB` the model was built for.
     pub fn t_ub(&self) -> usize {
         self.t_ub
+    }
+
+    /// The form of the overlap constraints (Eq. 2–3) this model carries.
+    pub fn overlap(&self) -> OverlapForm {
+        self.overlap
     }
 
     /// Formula-size statistics `(variables, clauses)` of the built model.
@@ -1022,10 +1080,11 @@ impl ModelSeed {
         h.finish()
     }
 
-    /// Forks a member model for `config` at depth window `t_ub`, or
-    /// `None` when the seed cannot serve it (different instance, or a
-    /// window growth the incremental machinery cannot perform) — the
-    /// caller then falls back to a fresh encode.
+    /// Forks a member model for `config` at depth window `t_ub` with the
+    /// overlap form `overlap`, or `None` when the seed cannot serve it
+    /// (different instance, the other [`OverlapForm`], or a window
+    /// growth the incremental machinery cannot perform) — the caller
+    /// then falls back to a fresh encode.
     ///
     /// A smaller window is served at the template's own window: a wider
     /// window only admits more schedules, every probe bounds the depth
@@ -1042,11 +1101,15 @@ impl ModelSeed {
         graph: &CouplingGraph,
         instance: u64,
         t_ub: usize,
+        overlap: OverlapForm,
     ) -> Option<FlatModel> {
         if instance != self.instance {
             return None;
         }
         let mut base = self.inner.lock().ok()?;
+        if base.overlap() != overlap {
+            return None;
+        }
         let base_t_ub = base.t_ub();
         if t_ub <= base_t_ub {
             return Some(base.fork(config));
@@ -1230,6 +1293,7 @@ fn emit_scheduling(
     circuit: &Circuit,
     graph: &CouplingGraph,
     sd: usize,
+    overlap: OverlapForm,
     steps: Range<usize>,
 ) {
     let ne = graph.num_edges();
@@ -1268,17 +1332,63 @@ fn emit_scheduling(
     // window (t - S_D, t]; no gate touching those physical qubits may be
     // scheduled in that window. Only finish times in `steps` are new: a
     // finish time before them pairs only with gate times before them.
-    for (g, gate) in circuit.gates().iter().enumerate() {
-        let qubits: Vec<u16> = gate.operands.qubits().collect();
-        for e in 0..ne {
-            let (pa, pb) = graph.edge(e);
-            for t in (sd - 1).max(steps.start)..steps.end {
-                for t_prime in (t + 1 - sd)..=t {
-                    for &q in &qubits {
-                        for p in [pa, pb] {
-                            // (t_g == t') ∧ (π_q^t == p) → ¬σ_e^t
+    let finishes = (sd - 1).max(steps.start)..steps.end;
+    match overlap {
+        OverlapForm::PerGate => {
+            for (g, gate) in circuit.gates().iter().enumerate() {
+                let qubits: Vec<u16> = gate.operands.qubits().collect();
+                for e in 0..ne {
+                    let (pa, pb) = graph.edge(e);
+                    for t in finishes.clone() {
+                        for t_prime in (t + 1 - sd)..=t {
+                            for &q in &qubits {
+                                for p in [pa, pb] {
+                                    // (t_g == t') ∧ (π_q^t == p) → ¬σ_e^t
+                                    let mut clause = time.var(g).neq_clause(t_prime);
+                                    clause.extend(mapping[q as usize][t].neq_clause(p as usize));
+                                    clause.push(!swap_lits[e][t]);
+                                    batch.add_clause(&clause);
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        OverlapForm::Window => {
+            let mut gates_on: Vec<Vec<usize>> = vec![Vec::new(); mapping.len()];
+            for (g, gate) in circuit.gates().iter().enumerate() {
+                for q in gate.operands.qubits() {
+                    gates_on[q as usize].push(g);
+                }
+            }
+            // Step-major, like every other per-step family: numbering
+            // the busy literals qubit-major instead cost `optimize_swaps`
+            // on tof-3/line5 (S_D = 3) 1.6x the conflicts.
+            for t in finishes {
+                for (q, gs) in gates_on.iter().enumerate() {
+                    // A qubit no gate touches never blocks a SWAP.
+                    if gs.is_empty() {
+                        continue;
+                    }
+                    // w_q^t: q runs a gate in (t - S_D, t]. Only the
+                    // implication into w is needed; the window may reach
+                    // time selectors below `steps`.
+                    let busy = Lit::positive(batch.new_var());
+                    for &g in gs {
+                        for t_prime in (t + 1 - sd)..=t {
+                            // (t_g == t') → w_q^t
                             let mut clause = time.var(g).neq_clause(t_prime);
-                            clause.extend(mapping[q as usize][t].neq_clause(p as usize));
+                            clause.push(busy);
+                            batch.add_clause(&clause);
+                        }
+                    }
+                    for e in 0..ne {
+                        let (pa, pb) = graph.edge(e);
+                        for p in [pa, pb] {
+                            // w_q^t ∧ (π_q^t == p) → ¬σ_e^t
+                            let mut clause = vec![!busy];
+                            clause.extend(mapping[q][t].neq_clause(p as usize));
                             clause.push(!swap_lits[e][t]);
                             batch.add_clause(&clause);
                         }
@@ -1452,6 +1562,95 @@ mod tests {
             let result = model.extract();
             assert_eq!(verify(&circuit, &graph, &result), Ok(()), "{enc:?}");
         }
+    }
+
+    /// The verdict of `model` at every (depth bound, SWAP bound ≤
+    /// `max_swaps`) pair, verifying every layout it finds.
+    fn verdict_grid(
+        model: &mut FlatModel,
+        circuit: &Circuit,
+        graph: &CouplingGraph,
+        max_swaps: usize,
+    ) -> Vec<SolveResult> {
+        let mut verdicts = Vec::new();
+        for d in 1..=model.t_ub() {
+            for k in 0..=max_swaps {
+                let bounds = [model.depth_bound(d), model.swap_bound(k, max_swaps)];
+                let verdict = model.solve(&bounds);
+                if verdict == SolveResult::Sat {
+                    let result = model.extract();
+                    assert!(result.depth <= d && result.swap_count() <= k);
+                    assert_eq!(verify(circuit, graph, &result), Ok(()));
+                }
+                verdicts.push(verdict);
+            }
+        }
+        verdicts
+    }
+
+    #[test]
+    fn overlap_forms_agree_at_every_bound_pair() {
+        let mut circuit = Circuit::new(3);
+        circuit.push(Gate::two(GateKind::Cx, 0, 1));
+        circuit.push(Gate::two(GateKind::Cx, 1, 2));
+        circuit.push(Gate::two(GateKind::Cx, 0, 2));
+        circuit.push(Gate::one(GateKind::H, 1));
+        let graph = line(3);
+        // (S_D, window the grown model starts at, full window): both
+        // windows keep the binary time width, so the growth happens in
+        // place; with S_D = 3 the busy windows of the new finish steps
+        // reach below the old window end.
+        for (sd, t_small, t_ub) in [(1, 5, 7), (3, 5, 8)] {
+            for mapping in [MappingEncoding::OneHot, MappingEncoding::Binary] {
+                for time in [TimeEncoding::OneHot, TimeEncoding::Binary] {
+                    let config = SynthesisConfig {
+                        encoding: EncodingConfig {
+                            mapping,
+                            time,
+                            ..EncodingConfig::default()
+                        },
+                        swap_duration: sd,
+                        ..SynthesisConfig::default()
+                    };
+                    let build = |t, overlap| {
+                        FlatModel::build_with_overlap(&circuit, &graph, &config, t, overlap)
+                            .expect("builds")
+                    };
+                    let mut per_gate = build(t_ub, OverlapForm::PerGate);
+                    let mut window = build(t_ub, OverlapForm::Window);
+                    let mut grown = build(t_small, OverlapForm::Window);
+                    assert!(grown.extend_window(&circuit, &graph, t_ub));
+                    assert_eq!(grown.overlap(), OverlapForm::Window);
+                    let tag = format!("S_D={sd} {mapping:?}/{time:?}");
+                    let expected = verdict_grid(&mut per_gate, &circuit, &graph, 2);
+                    assert!(expected.contains(&SolveResult::Sat), "{tag}");
+                    assert!(expected.contains(&SolveResult::Unsat), "{tag}");
+                    for (label, model) in [("window", &mut window), ("grown", &mut grown)] {
+                        let verdicts = verdict_grid(model, &circuit, &graph, 2);
+                        assert_eq!(verdicts, expected, "{tag} {label}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn window_form_shrinks_only_swap_descent_models() {
+        // tof-3 on line5, S_D = 3, at the window phase 1 starts with.
+        let circuit = olsq2_circuit::generators::tof_circuit(3);
+        let graph = line(5);
+        let config = SynthesisConfig::with_swap_duration(3);
+        let scheduling = |m: &FlatModel| m.breakdown().get(ConstraintFamily::Scheduling).clauses;
+        let depth = FlatModel::build(&circuit, &graph, &config, 47).expect("builds");
+        assert_eq!(depth.overlap(), OverlapForm::PerGate);
+        assert_eq!(depth.formula_size(), (7_991, 119_661));
+        assert_eq!(scheduling(&depth), 56_252);
+        let swaps =
+            FlatModel::build_with_overlap(&circuit, &graph, &config, 47, OverlapForm::Window)
+                .expect("builds");
+        // One busy literal per program qubit and finish step 2..47.
+        assert_eq!(swaps.formula_size(), (7_991 + 5 * 45, 80_882));
+        assert_eq!(scheduling(&swaps), 17_473);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! over one solver via activation-literal bounds.
 
 use crate::config::SynthesisConfig;
-use crate::model::{FlatModel, ModelError, ModelSeed};
+use crate::model::{FlatModel, ModelError, ModelSeed, OverlapForm};
 use olsq2_arch::CouplingGraph;
 use olsq2_circuit::{Circuit, DependencyGraph};
 use olsq2_layout::LayoutResult;
@@ -147,18 +147,23 @@ impl Olsq2Synthesizer {
         factor.max(t_lb + self.config.swap_duration).max(1)
     }
 
+    /// Builds the model at window `t_ub` with the overlap form the
+    /// caller's objective runs fastest on: [`OverlapForm::Window`] for a
+    /// SWAP descent, [`OverlapForm::PerGate`] otherwise.
     pub(crate) fn build_model(
         &self,
         circuit: &Circuit,
         graph: &CouplingGraph,
         t_ub: usize,
+        overlap: OverlapForm,
     ) -> Result<FlatModel, SynthesisError> {
         // Fork from an encoded template when one is attached and matches
-        // this exact instance; otherwise encode from scratch.
+        // this exact instance and form; otherwise encode from scratch.
         if self.config.fork_spawn {
             if let Some(seed) = &self.config.model_seed {
                 let instance = ModelSeed::instance_fingerprint(circuit, graph, &self.config);
-                if let Some(mut model) = seed.fork_for(&self.config, circuit, graph, instance, t_ub)
+                if let Some(mut model) =
+                    seed.fork_for(&self.config, circuit, graph, instance, t_ub, overlap)
                 {
                     let span = self.config.recorder.span("fork");
                     span.set("t_ub", t_ub);
@@ -172,7 +177,7 @@ impl Olsq2Synthesizer {
         }
         let span = self.config.recorder.span("encode");
         span.set("t_ub", t_ub);
-        let mut model = FlatModel::build(circuit, graph, &self.config, t_ub)?;
+        let mut model = FlatModel::build_with_overlap(circuit, graph, &self.config, t_ub, overlap)?;
         if self.config.recorder.is_enabled() {
             let (vars, clauses) = model.formula_size();
             span.set("vars", vars);
@@ -214,7 +219,7 @@ impl Olsq2Synthesizer {
             }
             span.set("result", "rebuild");
         }
-        *model = self.build_model(circuit, graph, t_ub)?;
+        *model = self.build_model(circuit, graph, t_ub, model.overlap())?;
         Ok(())
     }
 
@@ -355,7 +360,7 @@ impl Olsq2Synthesizer {
         let start = Instant::now();
         let outer = self.config.recorder.span("solve_feasible");
         outer.set("t_ub", t_ub);
-        let mut model = self.build_model(circuit, graph, t_ub)?;
+        let mut model = self.build_model(circuit, graph, t_ub, OverlapForm::PerGate)?;
         let span = self.iteration_span("feasible", &[("t_bound", t_ub)]);
         match self.probe(span, &mut model, self.deadline(), |_| Vec::new()) {
             SolveResult::Sat => {
@@ -377,16 +382,18 @@ impl Olsq2Synthesizer {
     /// When `T_B` outgrows the window, the window grows to exactly `T_B`
     /// (§III-B-1 last sentence): `T_B` already grows geometrically, so
     /// the extensions stay O(log), and the model every later phase runs
-    /// on is no larger than the first satisfiable bound needs.
+    /// on is no larger than the first satisfiable bound needs. The model
+    /// carries `overlap`, the form the caller's later phases run on.
     pub(crate) fn first_feasible_depth(
         &self,
         circuit: &Circuit,
         graph: &CouplingGraph,
         deadline: Option<Instant>,
+        overlap: OverlapForm,
     ) -> Result<FirstSat, SynthesisError> {
         let dag = self.dependency_graph(circuit);
         let t_lb = dag.longest_chain().max(1);
-        let mut model = self.build_model(circuit, graph, self.initial_t_ub(t_lb))?;
+        let mut model = self.build_model(circuit, graph, self.initial_t_ub(t_lb), overlap)?;
         let mut iterations = 0usize;
         let mut t_b = t_lb;
         loop {
@@ -433,6 +440,7 @@ impl Olsq2Synthesizer {
         graph: &CouplingGraph,
         deadline: Option<Instant>,
         outer: &SpanGuard,
+        overlap: OverlapForm,
     ) -> Result<(FlatModel, SynthesisOutcome), SynthesisError> {
         let start = Instant::now();
         let FirstSat {
@@ -440,7 +448,7 @@ impl Olsq2Synthesizer {
             result: mut current,
             t_lb,
             mut iterations,
-        } = self.first_feasible_depth(circuit, graph, deadline)?;
+        } = self.first_feasible_depth(circuit, graph, deadline, overlap)?;
         outer.set("t_lb", t_lb);
 
         // Phase 2: decrement until UNSAT (or the lower bound is reached).
@@ -483,7 +491,13 @@ impl Olsq2Synthesizer {
         graph: &CouplingGraph,
     ) -> Result<SynthesisOutcome, SynthesisError> {
         let outer = self.config.recorder.span("optimize_depth");
-        let (mut model, outcome) = self.depth_phase(circuit, graph, self.deadline(), &outer)?;
+        let (mut model, outcome) = self.depth_phase(
+            circuit,
+            graph,
+            self.deadline(),
+            &outer,
+            OverlapForm::PerGate,
+        )?;
         outer.set("iterations", outcome.iterations);
         outer.set("proven_optimal", outcome.proven_optimal);
         if !outcome.proven_optimal {
@@ -498,7 +512,9 @@ impl Olsq2Synthesizer {
     /// retry. Terminates when relaxing the depth brings no reduction
     /// (Pareto-optimal), the count reaches zero, or the budget expires.
     /// The SWAP phase continues on the depth phase's model, so its
-    /// learnt clauses and window carry over.
+    /// learnt clauses and window carry over. That model writes Eq. 2–3 in
+    /// the window form ([`OverlapForm::Window`]), which the SWAP-bound
+    /// refutations search much faster than the per-gate form.
     ///
     /// # Errors
     ///
@@ -511,7 +527,8 @@ impl Olsq2Synthesizer {
         let start = Instant::now();
         let deadline = self.deadline();
         let outer = self.config.recorder.span("optimize_swaps");
-        let (mut model, depth_outcome) = self.depth_phase(circuit, graph, deadline, &outer)?;
+        let (mut model, depth_outcome) =
+            self.depth_phase(circuit, graph, deadline, &outer, OverlapForm::Window)?;
         let mut iterations = depth_outcome.iterations;
         let mut current = depth_outcome.result;
         let mut current_depth = current.depth;
@@ -817,7 +834,7 @@ mod tests {
         config.recorder = rec.clone();
         let synth = Olsq2Synthesizer::new(config);
         let first = synth
-            .first_feasible_depth(&circuit, &graph, None)
+            .first_feasible_depth(&circuit, &graph, None, OverlapForm::PerGate)
             .expect("solves");
         let t_bounds: Vec<usize> = rec
             .snapshot()

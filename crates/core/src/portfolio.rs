@@ -20,7 +20,7 @@
 
 use crate::config::{EncodingConfig, SolverDiversification, SynthesisConfig};
 use crate::cube::{CubeParams, CubeSynthesizer};
-use crate::model::ModelSeed;
+use crate::model::{ModelSeed, OverlapForm};
 use crate::optimize::{Olsq2Synthesizer, SynthesisError, SynthesisOutcome};
 use crate::sharing::{CohortEndpoint, SharedClausePool, SharingStats};
 use olsq2_arch::CouplingGraph;
@@ -399,7 +399,7 @@ impl PortfolioSynthesizer {
     ) -> Result<PortfolioReport, SynthesisError> {
         let stop = Arc::new(AtomicBool::new(false));
         let endpoints = self.make_endpoints();
-        let seeds = self.make_seeds(circuit, graph);
+        let seeds = self.make_seeds(circuit, graph, objective);
         let (tx, rx) = mpsc::channel::<(usize, Result<SynthesisOutcome, SynthesisError>)>();
         std::thread::scope(|scope| {
             for (idx, member) in self.members.iter().enumerate() {
@@ -522,12 +522,23 @@ impl PortfolioSynthesizer {
     /// stop flag, sharing endpoint, budgets) are re-applied per fork —
     /// and every member forks the template in O(memcpy) instead of
     /// paying its own encode. Cohort templates build in parallel, so a
-    /// multi-cohort portfolio's spawn wall clock stays one encode.
+    /// multi-cohort portfolio's spawn wall clock stays one encode. The
+    /// template carries the overlap form the members' driver builds for
+    /// `objective`, so the members can fork it.
     ///
     /// A template that fails to build yields no seed; its members then
     /// hit (and report) the same error through their own fresh builds,
     /// keeping failure behavior identical to the per-member path.
-    fn make_seeds(&self, circuit: &Circuit, graph: &CouplingGraph) -> Vec<Option<ModelSeed>> {
+    fn make_seeds(
+        &self,
+        circuit: &Circuit,
+        graph: &CouplingGraph,
+        objective: Objective,
+    ) -> Vec<Option<ModelSeed>> {
+        let overlap = match objective {
+            Objective::Depth => OverlapForm::PerGate,
+            Objective::Swaps => OverlapForm::Window,
+        };
         let mut seeds: Vec<Option<ModelSeed>> = vec![None; self.members.len()];
         let mut cohorts: HashMap<EncodingConfig, Vec<usize>> = HashMap::new();
         for (idx, member) in self.members.iter().enumerate() {
@@ -558,12 +569,12 @@ impl PortfolioSynthesizer {
                         let synth = Olsq2Synthesizer::new(template_cfg.clone());
                         let dag = synth.dependency_graph(circuit);
                         let t_ub = synth.initial_t_ub(dag.longest_chain().max(1));
-                        let seed = synth.build_model(circuit, graph, t_ub).ok().map(|model| {
-                            ModelSeed::capture(
-                                model,
-                                ModelSeed::instance_fingerprint(circuit, graph, &template_cfg),
-                            )
-                        });
+                        let instance =
+                            ModelSeed::instance_fingerprint(circuit, graph, &template_cfg);
+                        let seed = synth
+                            .build_model(circuit, graph, t_ub, overlap)
+                            .ok()
+                            .map(|model| ModelSeed::capture(model, instance));
                         (indices, seed)
                     })
                 })

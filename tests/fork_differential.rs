@@ -11,8 +11,8 @@ use std::sync::Arc;
 
 use olsq2::{
     ClauseExchange, CohortEndpoint, CubeParams, CubeSynthesizer, EncodingConfig, FlatModel,
-    ModelSeed, Olsq2Synthesizer, PortfolioConfig, PortfolioSynthesizer, Recorder, SharedClausePool,
-    SolverDiversification, SolverFeatures, SynthesisConfig,
+    ModelSeed, Olsq2Synthesizer, OverlapForm, PortfolioConfig, PortfolioSynthesizer, Recorder,
+    SharedClausePool, SolverDiversification, SolverFeatures, SynthesisConfig,
 };
 use olsq2_arch::{grid, line, CouplingGraph};
 use olsq2_circuit::generators::{qaoa_circuit, qft_decomposed, queko_circuit};
@@ -122,7 +122,7 @@ fn forked_members_match_fresh_builds_across_features() {
                     "{name}/{fname}: diversification leaked into the instance fingerprint"
                 );
                 let mut forked = seed
-                    .fork_for(&mcfg, circuit, device, instance, t_ub)
+                    .fork_for(&mcfg, circuit, device, instance, t_ub, OverlapForm::PerGate)
                     .expect("seed serves the same instance at the same window");
                 let mut fresh =
                     FlatModel::build(circuit, device, &mcfg, t_ub).expect("fresh build");
@@ -156,8 +156,28 @@ fn forked_window_growth_matches_fresh_build() {
         );
         let mut mcfg = cfg.clone();
         mcfg.diversification = SolverDiversification::variant(0x6B0, 1);
+        // A per-gate template never serves a window-form build.
+        assert!(
+            seed.fork_for(
+                &mcfg,
+                circuit,
+                device,
+                seed.instance(),
+                grown_t_ub,
+                OverlapForm::Window
+            )
+            .is_none(),
+            "{name}: seed served the other overlap form"
+        );
         let mut forked = seed
-            .fork_for(&mcfg, circuit, device, seed.instance(), grown_t_ub)
+            .fork_for(
+                &mcfg,
+                circuit,
+                device,
+                seed.instance(),
+                grown_t_ub,
+                OverlapForm::PerGate,
+            )
             .expect("incremental seed serves a larger window");
         assert_eq!(forked.t_ub(), grown_t_ub, "{name}: fork did not grow");
         assert_eq!(

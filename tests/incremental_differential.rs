@@ -7,8 +7,8 @@
 //! must pass the five-constraint verifier.
 
 use olsq2::{
-    EncodingConfig, FlatModel, Olsq2Synthesizer, PortfolioConfig, PortfolioSynthesizer,
-    SynthesisConfig, TbOlsq2Synthesizer,
+    EncodingConfig, FlatModel, Olsq2Synthesizer, OverlapForm, PortfolioConfig,
+    PortfolioSynthesizer, SynthesisConfig, TbOlsq2Synthesizer,
 };
 use olsq2_arch::{grid, line, CouplingGraph};
 use olsq2_circuit::generators::qaoa_circuit;
@@ -88,6 +88,66 @@ fn extended_flat_model_matches_fresh_build_at_every_depth() {
                 }
             }
         }
+        assert_eq!(extended.extensions(), 3, "round {round}");
+    }
+}
+
+/// Window-form SWAP differential: the overlap form SWAP descents build
+/// (one busy literal per qubit and SWAP finish step) grown 3→5→7→9 in
+/// place with S_D = 3, so the busy windows of new finish steps reach
+/// below the old window end. After every growth the extended model and a
+/// fresh window-form build must agree at every (depth, SWAP) bound pair.
+#[test]
+fn extended_window_form_matches_fresh_build_at_every_swap_bound() {
+    const MAX_SWAPS: usize = 2;
+    let mut rng = Rng::seed_from_u64(0x1AC4_0004);
+    for round in 0..4 {
+        let circuit = random_circuit(&mut rng, 4, 6);
+        let device = &devices()[rng.gen_range(0usize..3)];
+        let inc_cfg = SynthesisConfig::with_swap_duration(3);
+        let mut fresh_cfg = inc_cfg.clone();
+        fresh_cfg.incremental = false;
+        let build = |cfg: &SynthesisConfig, t_ub: usize| {
+            FlatModel::build_with_overlap(&circuit, device, cfg, t_ub, OverlapForm::Window)
+                .expect("builds")
+        };
+
+        let mut extended = build(&inc_cfg, 3);
+        for (step, new_t_ub) in [5usize, 7, 9].into_iter().enumerate() {
+            assert!(
+                extended.extend_window(&circuit, device, new_t_ub),
+                "round {round} step {step}: extension refused"
+            );
+            let mut fresh = build(&fresh_cfg, new_t_ub);
+            for d in 1..=new_t_ub {
+                for k in 0..=MAX_SWAPS {
+                    let ext_acts = [extended.depth_bound(d), extended.swap_bound(k, MAX_SWAPS)];
+                    let fresh_acts = [fresh.depth_bound(d), fresh.swap_bound(k, MAX_SWAPS)];
+                    let ext_res = extended.solve(&ext_acts);
+                    assert_eq!(
+                        ext_res,
+                        fresh.solve(&fresh_acts),
+                        "round {round} step {step}: verdict diverged at depth {d}, swaps {k}"
+                    );
+                    if ext_res == SolveResult::Sat {
+                        for (label, result) in
+                            [("extended", extended.extract()), ("fresh", fresh.extract())]
+                        {
+                            assert!(
+                                result.depth <= d && result.swap_count() <= k,
+                                "round {round} step {step} ({label}): bounds ({d}, {k}) broken"
+                            );
+                            assert_eq!(
+                                verify(&circuit, device, &result),
+                                Ok(()),
+                                "round {round} step {step} ({label}) at ({d}, {k})"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(extended.overlap(), OverlapForm::Window, "round {round}");
         assert_eq!(extended.extensions(), 3, "round {round}");
     }
 }
